@@ -16,7 +16,12 @@ winner-only lazy geometry).  This bench pins the win three ways:
   the LP-heavy CHEBYSHEV method (the stacked Chebyshev path);
 * **stage split** — an untimed instrumented pass records where batch
   wall-time goes (constraint assembly / stacked LPs / geometry / merge),
-  so future regressions name their stage instead of just moving a total.
+  so future regressions name their stage instead of just moving a total;
+* **batch-of-1** — every served query goes through ``locate_batch``, so
+  a single query is a batch of one.  ``batch1_qps`` times that shape
+  one query at a time against the scalar reference ``locate`` on the
+  same warm localizer (``locate_qps``), interleaved best-of-``REPS``;
+  batch-of-1 must keep at least :data:`BATCH1_FLOOR` of the reference.
 
 Results persist to ``results/PIPELINE.txt`` and the machine-readable
 ledger ``results/BENCH_locate_pipeline.json`` that the CI regression gate
@@ -47,6 +52,8 @@ PACKETS = 6
 REPS = 3
 SCENARIOS = ("lab", "lobby")
 SPEEDUP_FLOOR = 1.5
+#: Batch-of-1 QPS floor as a fraction of the scalar ``locate`` QPS.
+BATCH1_FLOOR = 0.75
 
 #: ``cached-batched`` QPS from the committed PR-7 serving ledger
 #: (``results/BENCH_serving_throughput.json`` as of the commit before the
@@ -95,6 +102,27 @@ def _time_batched_serving(scenario, anchor_sets):
         svc.close()
 
 
+def _time_batch_of_one(scenario, anchor_sets):
+    """Best-of-REPS QPS of one-query ``locate_batch`` vs scalar ``locate``.
+
+    Same warm localizer, no bisector cache on either side; the two
+    shapes alternate within each repetition so noise hits both.
+    """
+    localizer = NomLocLocalizer(scenario.plan.boundary).warm()
+    shapes = {
+        "batch1": lambda anchors: localizer.locate_batch([anchors]),
+        "locate": localizer.locate,
+    }
+    best = dict.fromkeys(shapes, float("inf"))
+    for _ in range(REPS):
+        for name, solve in shapes.items():
+            started = time.perf_counter()
+            for anchors in anchor_sets:
+                solve(anchors)
+            best[name] = min(best[name], time.perf_counter() - started)
+    return {name: len(anchor_sets) / t for name, t in best.items()}
+
+
 def _bit_exact(scenario, anchor_sets, method):
     """locate_batch vs scalar locate, winner regions included."""
     localizer = NomLocLocalizer(
@@ -135,9 +163,12 @@ def _pipeline_comparison():
     for scenario_name in SCENARIOS:
         scenario, anchor_sets = _gather_queries(scenario_name)
         timing = _time_batched_serving(scenario, anchor_sets)
+        single = _time_batch_of_one(scenario, anchor_sets)
         results[scenario_name] = {
             "qps": timing["qps"],
             "p50_ms": timing["p50_ms"],
+            "batch1_qps": single["batch1"],
+            "locate_qps": single["locate"],
             "responses": timing["responses"],
             "stage_ms": _stage_split_ms(scenario, anchor_sets),
             "bit_exact": {
@@ -165,6 +196,14 @@ def test_locate_pipeline(benchmark, save_result, save_json):
             f"only {speedup:.2f}x the PR-7 baseline {base_qps:.1f} q/s "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
+        # A single query rides the stacked path too (batch-of-1 serving);
+        # it must stay within the floor of the scalar reference.
+        batch1_ratio = r["batch1_qps"] / r["locate_qps"]
+        assert batch1_ratio >= BATCH1_FLOOR, (
+            f"{scenario_name}: batch-of-1 at {r['batch1_qps']:.1f} q/s is "
+            f"only {batch1_ratio:.2f}x scalar locate {r['locate_qps']:.1f} "
+            f"q/s (floor {BATCH1_FLOOR}x)"
+        )
         stage = r["stage_ms"]
         rows.append(
             [
@@ -172,6 +211,8 @@ def test_locate_pipeline(benchmark, save_result, save_json):
                 round(r["qps"], 1),
                 round(r["p50_ms"], 2),
                 round(speedup, 2),
+                round(r["batch1_qps"], 1),
+                round(r["locate_qps"], 1),
                 round(stage["constraints.build_batch"], 2),
                 round(stage["lp.solve_batch"], 2),
                 round(stage["geometry.batch"], 2),
@@ -185,6 +226,8 @@ def test_locate_pipeline(benchmark, save_result, save_json):
             "qps",
             "p50(ms)",
             "vs-pr7",
+            "batch1-qps",
+            "locate-qps",
             "assemble(ms)",
             "lp(ms)",
             "geometry(ms)",
@@ -200,6 +243,9 @@ def test_locate_pipeline(benchmark, save_result, save_json):
                 "qps": r["qps"],
                 "p50_ms": r["p50_ms"],
                 "speedup_vs_pr7": r["qps"] / PR7_BATCHED_QPS[scenario_name],
+                "batch1_qps": r["batch1_qps"],
+                "locate_qps": r["locate_qps"],
+                "batch1_vs_locate": r["batch1_qps"] / r["locate_qps"],
                 "bit_exact": r["bit_exact"],
                 "stage_ms": {
                     name.replace(".", "_"): ms

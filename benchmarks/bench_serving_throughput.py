@@ -1,16 +1,15 @@
-"""SERVE — serving-layer throughput: sequential vs pooled/batched/process.
+"""SERVE — serving-layer throughput: sequential vs batched/process.
 
 Measures queries/sec and p50/p95 latency of the
 :class:`repro.serving.LocalizationService` over pre-gathered anchor sets
 (measurement excluded — a server receives anchors, it doesn't simulate
-radios) in five configurations per scenario:
+radios) in four configurations per scenario:
 
 * ``cold-sequential`` — caches off, no workers: every query rebuilds the
   convex decomposition and boundary rows, the pre-serving baseline;
-* ``cached-sequential`` — topology + bisector caches on, warm; the
-  bit-exactness and speedup reference for the parallel modes;
-* ``cached-pooled`` — caches on plus a thread pool (GIL-bound: included
-  as the documented anti-pattern the process/batched modes replace);
+* ``cached-sequential`` — topology + bisector caches on, warm, one query
+  per stacked solve (batch-of-1); the bit-exactness and speedup
+  reference for the parallel modes;
 * ``cached-batched`` — caches on, micro-batched stacked-LP solves
   (``lp_batch``): many queries advance per NumPy pass instead of one per
   Python pivot loop — the single-core way past the GIL ceiling;
@@ -43,7 +42,6 @@ from conftest import run_once
 QUERIES = 64
 PACKETS = 6
 REPS = 3
-THREAD_WORKERS = 4
 PROC_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 MODES = {
@@ -51,11 +49,9 @@ MODES = {
         max_workers=0, cache_topologies=False, cache_bisectors=False
     ),
     "cached-sequential": ServingConfig(max_workers=0),
-    "cached-pooled": ServingConfig(max_workers=THREAD_WORKERS),
     "cached-batched": ServingConfig(max_workers=0, lp_batch=QUERIES),
     "cached-processes": ServingConfig(
         max_workers=PROC_WORKERS,
-        worker_mode="process",
         lp_batch=max(2, QUERIES // (2 * PROC_WORKERS)),
     ),
 }
@@ -148,15 +144,10 @@ def test_serving_throughput(benchmark, save_result, save_json):
                     round(r["qps"] / seq["qps"], 2),
                 ]
             )
-        # The acceptance bar: at least one GIL-free mode clears 3x the
-        # warm sequential path (batched on one core, processes on many).
-        best = max(by_mode[m]["qps"] for m in PARALLEL_MODES)
-        assert best >= SPEEDUP_FLOOR * seq["qps"], (
-            f"{scenario_name}: parallel serving below {SPEEDUP_FLOOR}x "
-            f"(sequential {seq['qps']:.1f} q/s, best parallel "
-            f"{best:.1f} q/s = {best / seq['qps']:.2f}x)"
-        )
 
+    # Answers are checked above; the measurements are ledgered before the
+    # speedup bar is asserted, so a run that misses the bar still leaves
+    # its numbers for the regression report.
     table = format_table(
         ["scenario", "mode", "qps", "p50(ms)", "p95(ms)", "vs-seq"], rows
     )
@@ -178,3 +169,13 @@ def test_serving_throughput(benchmark, save_result, save_json):
     )
     print()
     print(table)
+    for scenario_name, by_mode in results.items():
+        # The acceptance bar: at least one GIL-free mode clears 3x the
+        # warm sequential path (batched on one core, processes on many).
+        seq = by_mode["cached-sequential"]
+        best = max(by_mode[m]["qps"] for m in PARALLEL_MODES)
+        assert best >= SPEEDUP_FLOOR * seq["qps"], (
+            f"{scenario_name}: parallel serving below {SPEEDUP_FLOOR}x "
+            f"(sequential {seq['qps']:.1f} q/s, best parallel "
+            f"{best:.1f} q/s = {best / seq['qps']:.2f}x)"
+        )

@@ -344,7 +344,7 @@ def pairwise_constraints_batch(
             nomi_parts.append(nom[ii])
             nomj_parts.append(nom[jj])
             pair_meta.extend(
-                (q, int(i), int(j)) for i, j in zip(ii.tolist(), jj.tolist())
+                (q, i, j) for i, j in zip(ii.tolist(), jj.tolist())
             )
         if not pair_meta:
             return [((), (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))] * nq
@@ -384,11 +384,16 @@ def pairwise_constraints_batch(
         ny = np.where(near_is_i, yi, yj)
         fx = np.where(near_is_i, xj, xi)
         fy = np.where(near_is_i, yj, yi)
-        pair_rows = np.column_stack((nx, ny, fx, fy))
-        distinct, inverse = np.unique(pair_rows, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        # First-seen dedupe: cheaper than a row-sorting ``np.unique`` at
+        # the small pair counts of one query (batch-of-1 serving).
+        first_index: dict[tuple[float, float, float, float], int] = {}
+        inverse_list = [
+            first_index.setdefault(pair, len(first_index))
+            for pair in zip(nx.tolist(), ny.tolist(), fx.tolist(), fy.tolist())
+        ]
+        inverse = np.array(inverse_list, dtype=np.intp)
         halfspaces: list[HalfSpace] = []
-        for dnx, dny, dfx, dfy in distinct.tolist():
+        for dnx, dny, dfx, dfy in first_index:
             hs = None
             if bisector_cache is not None:
                 cache_key = (dnx, dny, dfx, dfy, normalize)
@@ -429,20 +434,25 @@ def pairwise_constraints_batch(
                 weights.append(conf * quality)
 
         # ---- materialize rows + per-query matrices -------------------
-        nomadic_list = nomadic_row.tolist()
         rows: list[WeightedConstraint] = []
-        for r, (q, i, j) in enumerate(meta):
+        for (q, i, j), near_i, nomadic, hs_index, weight in zip(
+            meta,
+            near_is_i.tolist(),
+            nomadic_row.tolist(),
+            inverse_list,
+            weights,
+        ):
             anchors = queries[q]
-            if near_is_i[r]:
+            if near_i:
                 near_name, far_name = anchors[i].name, anchors[j].name
             else:
                 near_name, far_name = anchors[j].name, anchors[i].name
             rows.append(
                 WeightedConstraint(
-                    halfspaces[inverse[r]],
-                    weights[r],
+                    halfspaces[hs_index],
+                    weight,
                     ConstraintKind.NOMADIC
-                    if nomadic_list[r]
+                    if nomadic
                     else ConstraintKind.PAIRWISE,
                     label=f"{near_name}<{far_name}",
                 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,16 +56,6 @@ __all__ = [
     "PieceSolution",
     "LocationEstimate",
     "NomLocLocalizer",
-    "PieceMapper",
-]
-
-#: Strategy running ``solve_piece`` over every piece index.  The default
-#: is a plain sequential loop; a serving layer can substitute a worker
-#: pool — every strategy must preserve piece order so results stay
-#: bit-identical to the sequential path.
-PieceMapper = Callable[
-    [Callable[[int], "PieceSolution"], Sequence[int]],
-    Iterable["PieceSolution"],
 ]
 
 
@@ -393,27 +383,22 @@ class NomLocLocalizer:
     def locate(
         self,
         anchors: Sequence[Anchor],
-        piece_mapper: PieceMapper | None = None,
         quality_weights: Mapping[str, float] | None = None,
     ) -> LocationEstimate:
         """Estimate the object's position from anchor PDPs.
 
         Requires at least two anchors (one bisector); realistic use has
-        four static APs plus the nomadic sites.  ``piece_mapper``
-        optionally runs the independent per-piece solves through a worker
-        pool; it must preserve piece order.  ``quality_weights``
+        four static APs plus the nomadic sites.  ``quality_weights``
         optionally down-weights rows touching degraded links (see
-        :meth:`build_shared_constraints`).
+        :meth:`build_shared_constraints`).  This scalar path is the
+        bit-exactness reference :meth:`locate_batch` is held to.
         """
         shared = self.build_shared_constraints(
             anchors, quality_weights=quality_weights
         )
-        solver = lambda idx: self.solve_piece(idx, shared)  # noqa: E731
-        indices = range(len(self.pieces))
-        if piece_mapper is None:
-            solutions = [solver(idx) for idx in indices]
-        else:
-            solutions = list(piece_mapper(solver, indices))
+        solutions = [
+            self.solve_piece(index, shared) for index in range(len(self.pieces))
+        ]
         return self.estimate_from_solutions(solutions)
 
     def build_shared_constraints_batch(
@@ -566,42 +551,12 @@ class NomLocLocalizer:
         index: int,
         shared: Sequence[WeightedConstraint],
     ) -> PieceSolution:
-        """Solve one convex piece's relaxation LP and centre its region.
-
-        Pieces are independent of each other, so a serving layer may call
-        this concurrently for different indices (and different queries):
-        it only reads immutable state after the first boundary-row build.
-        """
+        """Solve one convex piece's relaxation LP and centre its region."""
         with span("lp.solve", piece=index) as sp:
             system = self.assemble_piece_system(index, shared)
             sp.incr("rows", len(system))
             relaxation = solve_relaxation(system)
             return self._solution_from_relaxation(index, relaxation)
-
-    def solve_pieces_batch(
-        self,
-        indices: Sequence[int],
-        shared: Sequence[WeightedConstraint],
-    ) -> list[PieceSolution]:
-        """Solve many pieces' relaxation LPs in one stacked pass.
-
-        Same results as calling :meth:`solve_piece` per index — the
-        batched relaxation is bit-identical to the sequential one — but
-        the LPs are stacked by shape so N solves advance per NumPy call
-        instead of per Python-level pivot loop, and geometry runs
-        winner-only (losing pieces' region/centre materialize lazily on
-        access, with identical values).
-
-        Emits the ``lp.solve_pieces`` span: :meth:`locate_batch` owns the
-        ``lp.solve_batch`` name, and the two carry different attribute
-        sets, so sharing one name would corrupt per-stage aggregation.
-        """
-        with span("lp.solve_pieces", pieces=len(indices)) as sp:
-            systems = [self.assemble_piece_system(i, shared) for i in indices]
-            sp.incr("rows", sum(len(s) for s in systems))
-            relaxations = solve_relaxation_batch(systems)
-        groups = [list(zip(indices, relaxations))]
-        return self._winner_lazy_solutions(groups)[0]
 
     def _winner_lazy_solutions(
         self,

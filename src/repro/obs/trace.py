@@ -3,10 +3,10 @@
 A *span* is one timed stage of a localization query — ``csi.synthesize``,
 ``lp.solve``, ``serve.query`` — with monotonic start/duration, arbitrary
 attributes, and accumulating counters (e.g. simplex pivots).  Spans nest:
-each thread keeps its own active-span stack, so the tracer is safe under
-:class:`repro.serving.pool.WorkerPool` without any cross-thread locking
-on the hot path (only finishing a span takes the tracer lock, to append
-it to the shared finished list).
+each thread keeps its own active-span stack, so the tracer is safe when
+solves run on executor threads (the gateway's solver bridge) without any
+cross-thread locking on the hot path (only finishing a span takes the
+tracer lock, to append it to the shared finished list).
 
 Design constraints, in order:
 
@@ -142,9 +142,9 @@ class Tracer:
 
     Each thread sees its own active-span stack (``threading.local``), so
     nested ``with`` blocks on one thread parent correctly while worker
-    threads start independent span trees — exactly the shape of a pooled
-    serving query, where ``serve.query`` runs on a worker and its nested
-    ``lp.solve`` spans land under it.
+    threads start independent span trees — exactly the shape of a bridged
+    serving query, where ``serve.query`` runs on an executor thread and
+    its nested ``lp.solve_batch`` spans land under it.
     """
 
     def __init__(self) -> None:

@@ -1,11 +1,9 @@
 """Process-based serving workers: real parallelism past the GIL.
 
-The thread :class:`~repro.serving.pool.WorkerPool` cannot speed up the
-serving hot path — the per-query LP solves hold the GIL, so threads add
-contention, not parallelism (``BENCH_serving_throughput.json`` shows p50
-*worsening* under cpu_count() threads).  This module runs the solves in
-worker **processes** instead, with the warmed read-only state shared
-instead of rebuilt:
+The per-query LP solves hold the GIL, so worker threads add contention,
+not parallelism (a thread pool measured 0.99x sequential throughput at
+4x the p50).  This module runs the solves in worker **processes**
+instead, with the warmed read-only state shared instead of rebuilt:
 
 * each worker holds a full sequential :class:`LocalizationService`
   template (localizer, boundary rows, bisector cache) in a module
@@ -18,13 +16,11 @@ instead of rebuilt:
   from the pickled ``(area, localizer_config, serving_config)`` triple —
   slower start-up, identical behaviour.
 
-Bit-exactness contract: a worker answers a request with the exact
-sequential reference pipeline (``max_workers=0``, no piece pool), so
+Bit-exactness contract: a worker answers a chunk with the service's
+one request handler on an inline (``max_workers=0``) template, so
 responses are bit-identical to the caller running
 :meth:`LocalizationService.locate_request` itself; only queue/latency
-metadata differs.  Chunked submissions run the worker's *batched* LP
-path, which is itself bit-identical to sequential (see
-:mod:`repro.optimize.batched`).
+metadata differs.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
         ServingConfig,
     )
 
-__all__ = ["ProcessWorkerPool"]
+__all__ = ["ProcessPool"]
 
 #: The per-process template service.  In the parent it is set (and
 #: warmed) before the executor forks, so fork-started workers inherit the
@@ -84,29 +80,23 @@ def _init_worker(
         _WORKER_SERVICE = _build_template(area, localizer_config, config)
 
 
-def _handle_in_worker(request: "LocalizationRequest") -> "LocalizationResponse":
-    """Worker entry point: one request through the sequential pipeline."""
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _WORKER_SERVICE._handle(request, allow_piece_pool=False)
-
-
-def _handle_chunk_in_worker(
+def _serve_in_worker(
     requests: Sequence["LocalizationRequest"],
 ) -> list["LocalizationResponse"]:
-    """Worker entry point: one micro-batch through the stacked-LP path."""
+    """Worker entry point: one chunk through the service's handler."""
     assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _WORKER_SERVICE._handle_batch(list(requests))
+    return _WORKER_SERVICE._serve(list(requests))
 
 
-class ProcessWorkerPool:
+class ProcessPool:
     """Order-preserving pool of process workers for localization solves.
 
     Parameters
     ----------
     area, localizer_config, serving_config:
         The template the workers serve with.  ``serving_config`` is
-        normalized to the sequential reference (``max_workers=0``,
-        thread mode) inside each worker so a worker never nests pools.
+        normalized to inline serving (``max_workers=0``) inside each
+        worker so a worker never nests pools.
     max_workers:
         Process count; ``None`` picks ``os.cpu_count()`` — the right
         default here, unlike threads, because processes do not share a
@@ -125,7 +115,7 @@ class ProcessWorkerPool:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         template_config = replace(
-            serving_config, max_workers=0, worker_mode="thread", lp_batch=0
+            serving_config, max_workers=0, lp_batch=0
         )
         ctx = multiprocessing.get_context()
         if ctx.get_start_method() == "fork":
@@ -141,28 +131,17 @@ class ProcessWorkerPool:
             initargs=(area, localizer_config, template_config),
         )
 
-    @property
-    def concurrent(self) -> bool:
-        """Always true: process workers never run inline."""
-        return True
-
-    def submit_request(
-        self, request: "LocalizationRequest"
-    ) -> "Future[LocalizationResponse]":
-        """Schedule one request on a worker process."""
-        return self._executor.submit(_handle_in_worker, request)
-
     def submit_chunk(
         self, requests: Sequence["LocalizationRequest"]
     ) -> "Future[list[LocalizationResponse]]":
-        """Schedule a micro-batch; the worker runs the stacked-LP path."""
-        return self._executor.submit(_handle_chunk_in_worker, list(requests))
+        """Schedule a chunk of one or more requests on a worker process."""
+        return self._executor.submit(_serve_in_worker, list(requests))
 
     def shutdown(self) -> None:
         """Stop the worker processes (idempotent)."""
         self._executor.shutdown(wait=True)
 
-    def __enter__(self) -> "ProcessWorkerPool":
+    def __enter__(self) -> "ProcessPool":
         """Context-manager entry: the pool itself."""
         return self
 

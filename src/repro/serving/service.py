@@ -1,20 +1,25 @@
-"""`LocalizationService`: the batched, cached, concurrent serving façade.
+"""`LocalizationService`: the batched, cached serving façade.
 
 Wraps :class:`~repro.core.NomLocLocalizer` the way a production NomLoc
 backend would be deployed — a long-lived process answering a stream of
 anchor-set queries — instead of the one-shot CLI path that rebuilds the
 whole constraint system per call:
 
+* one request handler serves every entry point: a list of N >= 1
+  requests is grouped by venue topology and each group is solved in
+  one stacked :meth:`~repro.core.NomLocLocalizer.locate_batch` pass (a
+  single query is a batch of one);
 * the topology-dependent constraint prefix (convex decomposition,
   boundary/virtual-AP rows) comes from an LRU
   :class:`~repro.serving.cache.LocalizerCache`, so only the
   PDP-dependent pairwise rows are rebuilt per query;
-* independent queries run concurrently on a
-  :class:`~repro.serving.pool.WorkerPool` (sequential fallback:
-  ``max_workers=0`` — results are bit-identical either way);
+* ``max_workers=0`` serves inline on the calling thread; ``N >= 1``
+  serves queued work on a
+  :class:`~repro.serving.procpool.ProcessPool` — results are
+  bit-identical either way;
 * a bounded :class:`~repro.serving.queueing.AdmissionQueue` sheds load
-  instead of buffering it, a cooperative per-query deadline bounds tail
-  latency, and LP failures or timeouts degrade gracefully to the
+  instead of buffering it, a per-query deadline bounds tail latency,
+  and LP failures or timeouts degrade gracefully to the
   PDP-weighted-centroid baseline with the degraded path flagged in the
   response;
 * :class:`~repro.serving.metrics.ServiceMetrics` tracks latency
@@ -24,6 +29,7 @@ whole constraint system per call:
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -32,11 +38,11 @@ from ..geometry import Point, Polygon
 from ..obs import aggregate, get_tracer, span
 from .cache import BisectorCache, LocalizerCache
 from .metrics import ServiceMetrics, json_safe
-from .pool import WorkerPool
 from .queueing import AdmissionQueue, QueueFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layer cycle
     from ..guard.policy import GateResult
+    from .procpool import ProcessPool
 
 __all__ = [
     "ServiceClosedError",
@@ -46,10 +52,6 @@ __all__ = [
     "LocalizationService",
     "weighted_centroid",
 ]
-
-
-class _DeadlineExceeded(Exception):
-    """Internal: a query's cooperative deadline expired mid-solve."""
 
 
 class ServiceClosedError(RuntimeError):
@@ -85,27 +87,28 @@ class ServingConfig:
     Attributes
     ----------
     max_workers:
-        Query-level concurrency; ``0`` is the sequential reference path.
-    worker_mode:
-        ``"thread"`` (default) runs query workers on a
-        :class:`~repro.serving.pool.WorkerPool`; ``"process"`` runs them
-        on a :class:`~repro.serving.procpool.ProcessWorkerPool` — real
-        parallelism for the GIL-bound LP solves, with the warmed
-        topology/bisector caches fork-inherited by every worker.
-        Results stay bit-identical to sequential either way.
+        ``0`` (default) serves every query inline on the calling thread;
+        ``N >= 1`` runs queued work (:meth:`~LocalizationService.submit`,
+        :meth:`~LocalizationService.batch`,
+        :meth:`~LocalizationService.serve`) on a
+        :class:`~repro.serving.procpool.ProcessPool` of ``N``
+        processes — real parallelism for the GIL-bound LP solves, with
+        the warmed topology/bisector caches fork-inherited by every
+        worker.  :meth:`~LocalizationService.locate` and
+        :meth:`~LocalizationService.locate_request` always run inline.
+        Results are bit-identical either way.
     lp_batch:
-        Micro-batch size for :meth:`batch`: groups of up to this many
-        queries are solved through the stacked-LP path
+        Chunk size of queued work: up to this many consecutive queries
+        are solved together in one stacked-LP pass
         (:meth:`~repro.core.NomLocLocalizer.locate_batch`), advancing N
-        queries per NumPy pass instead of one per Python pivot loop.
-        ``0``/``1`` disables batching.  Composes with ``worker_mode``:
-        each worker (thread or process) solves whole chunks.
+        queries per NumPy pass instead of one.  ``0``/``1`` means chunks
+        of one.  Each worker process solves whole chunks.
     queue_capacity:
         In-flight request bound; non-blocking submissions beyond it are
         rejected with :class:`~repro.serving.queueing.QueueFullError`.
     timeout_s:
-        Default per-query deadline (seconds), checked cooperatively
-        between piece solves; ``None`` disables it.  On expiry the query
+        Default per-query deadline (seconds), checked before and after
+        the stacked solve; ``None`` disables it.  On expiry the query
         degrades to the weighted-centroid fallback.
     degrade_on_failure:
         Answer LP failures/timeouts with the flagged fallback estimate
@@ -115,17 +118,11 @@ class ServingConfig:
         (area, config) topology, LRU-bounded.
     cache_bisectors / max_cached_bisectors:
         Memoize normalized bisector halfspaces by anchor-position pair.
-    parallel_pieces:
-        Also solve a query's convex pieces concurrently when the query
-        is handled on the caller's thread (``locate``); batch/stream
-        paths keep pieces sequential inside each worker to avoid pool
-        self-starvation.
     latency_window:
         Size of the sliding latency reservoir behind the percentiles.
     """
 
     max_workers: int = 0
-    worker_mode: str = "thread"
     lp_batch: int = 0
     queue_capacity: int = 64
     timeout_s: float | None = None
@@ -134,7 +131,6 @@ class ServingConfig:
     max_cached_topologies: int = 8
     cache_bisectors: bool = True
     max_cached_bisectors: int = 4096
-    parallel_pieces: bool = False
     latency_window: int = 2048
 
     def __post_init__(self) -> None:
@@ -142,10 +138,6 @@ class ServingConfig:
         # fails loudly instead of deep inside some later query.
         if self.max_workers < 0:
             raise ValueError("max_workers must be >= 0")
-        if self.worker_mode not in ("thread", "process"):
-            raise ValueError("worker_mode must be 'thread' or 'process'")
-        if self.worker_mode == "process" and self.max_workers < 1:
-            raise ValueError("process worker_mode needs max_workers >= 1")
         if self.lp_batch < 0:
             raise ValueError("lp_batch must be >= 0")
         if self.queue_capacity < 1:
@@ -255,9 +247,9 @@ class LocalizationService:
     Bit-exactness contract: for any request, the served ``position`` and
     ``estimate`` equal what a fresh
     ``NomLocLocalizer(area, localizer_config).locate(anchors)`` returns —
-    caching and pooling only reorder/ reuse deterministic work, they
-    never change it.  The degraded fallback is the only exception and is
-    always flagged.
+    caching, stacking and worker processes only reorder/ reuse
+    deterministic work, they never change it.  The degraded fallback is
+    the only exception and is always flagged.
     """
 
     def __init__(
@@ -271,21 +263,16 @@ class LocalizationService:
         self.config = config or ServingConfig()
         self.metrics = ServiceMetrics(self.config.latency_window)
         self.queue = AdmissionQueue(self.config.queue_capacity)
-        if self.config.worker_mode == "process":
-            from .procpool import ProcessWorkerPool
+        self.proc_pool: "ProcessPool | None" = None
+        if self.config.max_workers >= 1:
+            from .procpool import ProcessPool
 
-            self.proc_pool: "ProcessWorkerPool | None" = ProcessWorkerPool(
+            self.proc_pool = ProcessPool(
                 area,
                 self.localizer_config,
                 self.config,
                 self.config.max_workers,
             )
-            # Piece-level work stays inline: the query-level process pool
-            # is the concurrency mechanism.
-            self.pool = WorkerPool(0)
-        else:
-            self.proc_pool = None
-            self.pool = WorkerPool(self.config.max_workers)
         self.topology_cache = (
             LocalizerCache(self.config.max_cached_topologies)
             if self.config.cache_topologies
@@ -312,15 +299,16 @@ class LocalizationService:
         The clean replica-shutdown path: new submissions raise
         :class:`ServiceClosedError` immediately, every already-admitted
         query runs to completion, and the final metrics snapshot is
-        returned before the worker pool is torn down.  Idempotent — a
-        second call just re-snapshots.
+        returned before the worker processes are torn down.  Idempotent
+        — a second call just re-snapshots.
 
         Raises
         ------
         TimeoutError
             When in-flight queries are still running after ``timeout_s``
             seconds (``None`` waits indefinitely); admissions stay
-            stopped and the pool is left running so the caller can retry.
+            stopped and the workers are left running so the caller can
+            retry.
         """
         self._closed = True
         if not self.queue.wait_idle(timeout_s):
@@ -329,13 +317,12 @@ class LocalizationService:
                 f"after {timeout_s}s drain"
             )
         snapshot = self.metrics_snapshot()
-        self.pool.shutdown()
         if self.proc_pool is not None:
             self.proc_pool.shutdown()
         return snapshot
 
     def close(self) -> None:
-        """Drain and shut down the worker pool (idempotent)."""
+        """Drain and shut down the worker processes (idempotent)."""
         self.drain()
 
     def __enter__(self) -> "LocalizationService":
@@ -359,9 +346,7 @@ class LocalizationService:
     ) -> LocalizationResponse:
         """Serve one query synchronously on the caller's thread.
 
-        This path may additionally parallelize the per-piece solves when
-        :attr:`ServingConfig.parallel_pieces` is set.  ``gate``
-        optionally carries the guard layer's verdicts (see
+        ``gate`` optionally carries the guard layer's verdicts (see
         :class:`LocalizationRequest`).
         """
         request = LocalizationRequest(
@@ -371,7 +356,7 @@ class LocalizationService:
             timeout_s=timeout_s,
             gate=gate,
         )
-        return self._handle(request, allow_piece_pool=True)
+        return self._serve([request])[0]
 
     def locate_request(
         self, request: LocalizationRequest
@@ -383,7 +368,7 @@ class LocalizationService:
         gated pipelines) route through here so optional fields like
         ``gate`` survive the hop.
         """
-        return self._handle(request, allow_piece_pool=True)
+        return self._serve([request])[0]
 
     def submit(self, request: LocalizationRequest | Sequence[Anchor]):
         """Enqueue one query without blocking; returns its future.
@@ -395,15 +380,8 @@ class LocalizationService:
             flight — the caller should shed or retry later
             (backpressure).
         """
-        self._check_open()
-        request = self._coerce(request)
-        try:
-            self.queue.try_acquire()
-        except QueueFullError:
-            self.metrics.record_rejected()
-            raise
-        self.metrics.record_admitted()
-        return self._dispatch(request, time.perf_counter())
+        request = self._admit(request, block=False)
+        return self._dispatch([request], time.perf_counter(), unwrap=True)
 
     def batch(
         self, requests: Iterable[LocalizationRequest | Sequence[Anchor]]
@@ -411,49 +389,23 @@ class LocalizationService:
         """Serve a batch, blocking for admission; responses in input order.
 
         Unlike :meth:`submit`, a full queue here *waits* for a slot
-        instead of rejecting — a batch caller wants all answers.  With
-        :attr:`ServingConfig.lp_batch` set, consecutive requests are
-        grouped into micro-batches that each worker solves through the
-        stacked-LP path — positions stay bit-identical to per-request
+        instead of rejecting — a batch caller wants all answers.
+        Consecutive requests are grouped into chunks of
+        :attr:`ServingConfig.lp_batch` (capped at the queue capacity, so
+        a chunk can always be admitted whole), each solved through one
+        stacked-LP pass — positions stay bit-identical to per-request
         serving.
         """
-        chunk_size = self.config.lp_batch
-        if chunk_size > 1:
-            return self._batch_chunked(requests, chunk_size)
-        futures = []
-        for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            futures.append(self._dispatch(request, time.perf_counter()))
-        return [f.result() for f in futures]
-
-    def _batch_chunked(
-        self,
-        requests: Iterable[LocalizationRequest | Sequence[Anchor]],
-        chunk_size: int,
-    ) -> list[LocalizationResponse]:
-        """Micro-batched :meth:`batch`: chunks of requests per worker."""
+        size = min(max(1, self.config.lp_batch), self.config.queue_capacity)
         futures = []
         chunk: list[LocalizationRequest] = []
-
-        def flush() -> None:
-            if chunk:
-                futures.append(
-                    self._dispatch_chunk(list(chunk), time.perf_counter())
-                )
-                chunk.clear()
-
         for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            chunk.append(request)
-            if len(chunk) >= chunk_size:
-                flush()
-        flush()
+            chunk.append(self._admit(request, block=True))
+            if len(chunk) == size:
+                futures.append(self._dispatch(chunk, time.perf_counter()))
+                chunk = []
+        if chunk:
+            futures.append(self._dispatch(chunk, time.perf_counter()))
         return [response for f in futures for response in f.result()]
 
     def serve(
@@ -469,19 +421,13 @@ class LocalizationService:
         the sockets.
         """
         if window is None:
-            workers = (
-                self.proc_pool.max_workers
-                if self.proc_pool is not None
-                else self.pool.max_workers
-            )
-            window = max(1, 2 * workers)
-        pending: list = []
+            window = max(1, 2 * self.config.max_workers)
+        pending: list[Future] = []
         for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            pending.append(self._dispatch(request, time.perf_counter()))
+            request = self._admit(request, block=True)
+            pending.append(
+                self._dispatch([request], time.perf_counter(), unwrap=True)
+            )
             while len(pending) >= window:
                 yield pending.pop(0).result()
         while pending:
@@ -552,55 +498,77 @@ class LocalizationService:
             return request
         return LocalizationRequest(tuple(request))
 
+    def _admit(
+        self, request: LocalizationRequest | Sequence[Anchor], block: bool
+    ) -> LocalizationRequest:
+        """Take an admission slot for one request (waiting if ``block``)."""
+        self._check_open()
+        request = self._coerce(request)
+        if block:
+            self.queue.acquire()
+        else:
+            try:
+                self.queue.try_acquire()
+            except QueueFullError:
+                self.metrics.record_rejected()
+                raise
+        self.metrics.record_admitted()
+        return request
+
     def _localizer_for(self, area: Polygon) -> tuple[NomLocLocalizer, bool]:
         """``(localizer, cache_hit)`` for one venue topology."""
         if self.topology_cache is not None:
             return self.topology_cache.get(area, self.localizer_config)
         return NomLocLocalizer(area, self.localizer_config).warm(), False
 
-    def _dispatch(self, request: LocalizationRequest, admitted_at: float):
-        """Route one admitted request to the configured worker kind."""
-        if self.proc_pool is not None:
-            return self._wrap_process_future(
-                self.proc_pool.submit_request(request),
-                [request],
-                admitted_at,
-                unwrap_single=True,
-            )
-        return self.pool.submit(
-            self._handle_and_release, request, admitted_at
-        )
+    def _dispatch(
+        self,
+        chunk: list[LocalizationRequest],
+        admitted_at: float,
+        unwrap: bool = False,
+    ) -> Future:
+        """Serve one admitted chunk inline or on a worker process.
 
-    def _dispatch_chunk(
-        self, chunk: list[LocalizationRequest], admitted_at: float
-    ):
-        """Route one admitted micro-batch to the configured worker kind."""
+        The returned future resolves to the chunk's responses — or, with
+        ``unwrap`` (single-request submissions), to its lone response.
+        ``admitted_at`` is the admission timestamp; the gap to the start
+        of the solve is the queue wait, the load component of latency,
+        reported separately from compute.  Admission slots are freed
+        when the chunk completes.
+        """
         if self.proc_pool is not None:
             return self._wrap_process_future(
-                self.proc_pool.submit_chunk(chunk), chunk, admitted_at
+                self.proc_pool.submit_chunk(chunk), chunk, admitted_at, unwrap
             )
-        return self.pool.submit(
-            self._handle_chunk_and_release, chunk, admitted_at
-        )
+        future: Future = Future()
+        queue_wait_s = max(0.0, time.perf_counter() - admitted_at)
+        try:
+            for _ in chunk:
+                self.metrics.record_queue_wait(queue_wait_s)
+            responses = self._serve(chunk, queue_wait_s)
+            future.set_result(responses[0] if unwrap else responses)
+        except BaseException as exc:  # noqa: BLE001 — future carries it
+            future.set_exception(exc)
+        finally:
+            for _ in chunk:
+                self.queue.release()
+        return future
 
     def _wrap_process_future(
         self,
-        raw,
+        raw: Future,
         requests: list[LocalizationRequest],
         admitted_at: float,
-        unwrap_single: bool = False,
-    ):
+        unwrap: bool,
+    ) -> Future:
         """Account for process-worker results on the parent side.
 
         Worker processes record metrics into *their own* (discarded)
         service instance, so the parent re-records each response's
         observable outcome — queue wait, cache hit, completion, gating —
         into its metrics, then frees the admission slots.  The returned
-        future resolves to the response (``unwrap_single``) or the
-        response list.
+        future resolves like :meth:`_dispatch`'s.
         """
-        from concurrent.futures import Future
-
         wrapped: Future = Future()
 
         def _done(f) -> None:
@@ -611,8 +579,6 @@ class LocalizationService:
                     self.queue.release()
                 wrapped.set_exception(exc)
                 return
-            if unwrap_single:
-                responses = [responses]
             round_trip_s = max(0.0, time.perf_counter() - admitted_at)
             try:
                 for request, response in zip(requests, responses):
@@ -637,284 +603,147 @@ class LocalizationService:
             finally:
                 for _ in requests:
                     self.queue.release()
-            wrapped.set_result(responses[0] if unwrap_single else responses)
+            wrapped.set_result(responses[0] if unwrap else responses)
 
         raw.add_done_callback(_done)
         return wrapped
 
-    def _handle_chunk_and_release(
+    def _serve(
         self,
-        chunk: list[LocalizationRequest],
-        admitted_at: float,
-    ) -> list[LocalizationResponse]:
-        """Worker entry point for a micro-batch: handle, free the slots."""
-        queue_wait_s = max(0.0, time.perf_counter() - admitted_at)
-        for _ in chunk:
-            self.metrics.record_queue_wait(queue_wait_s)
-        try:
-            return self._handle_batch(chunk)
-        finally:
-            for _ in chunk:
-                self.queue.release()
-
-    def _handle_and_release(
-        self,
-        request: LocalizationRequest,
-        admitted_at: float | None = None,
-    ) -> LocalizationResponse:
-        """Worker entry point: handle, then free the admission slot.
-
-        ``admitted_at`` is the admission timestamp the submitting thread
-        captured; the gap to now is the request's queue wait — the load
-        component of its latency, reported separately from compute.
-        """
-        queue_wait_s = (
-            time.perf_counter() - admitted_at if admitted_at is not None else 0.0
-        )
-        self.metrics.record_queue_wait(queue_wait_s)
-        try:
-            return self._handle(
-                request, allow_piece_pool=False, queue_wait_s=queue_wait_s
-            )
-        finally:
-            self.queue.release()
-
-    def _handle(
-        self,
-        request: LocalizationRequest,
-        allow_piece_pool: bool,
+        requests: Sequence[LocalizationRequest],
         queue_wait_s: float = 0.0,
-    ) -> LocalizationResponse:
-        """Run one query through cache + solver, degrading on failure."""
-        with span(
-            "serve.query",
-            query_id=request.query_id,
-            anchors=len(request.anchors),
-        ) as sp:
+    ) -> list[LocalizationResponse]:
+        """The request handler: N >= 1 requests through the stacked solver.
+
+        Requests are grouped by venue topology and each group is solved
+        in one :meth:`~repro.core.NomLocLocalizer.locate_batch` pass.
+        Each request's deadline is checked before and after that pass —
+        there is no check between pieces — and an expired one degrades
+        with reason ``"timeout"``; an LP failure degrades only the
+        failing request (``"lp-failure"``).  With ``degrade_on_failure``
+        off, both raise instead.  Every request in the call completes
+        when the call does, so the call's wall time is each one's
+        latency.
+        """
+        with span("serve.query", queries=len(requests)) as sp:
             started = time.perf_counter()
-            area = request.area if request.area is not None else self.area
-            localizer, cache_hit = self._localizer_for(area)
-            self.metrics.record_cache(cache_hit)
-            timeout = (
-                request.timeout_s
-                if request.timeout_s is not None
-                else self.config.timeout_s
-            )
-            deadline = started + timeout if timeout is not None else None
-            gate = request.gate
-            if gate is not None:
-                self.metrics.record_gating(
-                    len(gate.degraded), len(gate.rejected)
+            localizers: list[NomLocLocalizer] = []
+            cache_hits: list[bool] = []
+            groups: dict[int, list[int]] = {}
+            for i, request in enumerate(requests):
+                area = request.area if request.area is not None else self.area
+                localizer, cache_hit = self._localizer_for(area)
+                self.metrics.record_cache(cache_hit)
+                if request.gate is not None:
+                    self.metrics.record_gating(
+                        len(request.gate.degraded), len(request.gate.rejected)
+                    )
+                localizers.append(localizer)
+                cache_hits.append(cache_hit)
+                groups.setdefault(id(localizer), []).append(i)
+            estimates: list[LocationEstimate | None] = [None] * len(requests)
+            reasons = [""] * len(requests)
+
+            def expired(i: int) -> bool:
+                request = requests[i]
+                timeout = (
+                    request.timeout_s
+                    if request.timeout_s is not None
+                    else self.config.timeout_s
                 )
-            timed_out = lp_failed = False
-            estimate: LocationEstimate | None = None
-            reason = ""
-            try:
-                estimate = self._solve(
-                    localizer,
-                    request.anchors,
-                    deadline,
-                    allow_piece_pool,
-                    quality_weights=(
-                        gate.quality_weights if gate is not None else None
-                    ),
-                )
-            except _DeadlineExceeded:
+                if timeout is None or time.perf_counter() <= started + timeout:
+                    return False
                 if not self.config.degrade_on_failure:
                     raise TimeoutError(
                         f"query {request.query_id!r} exceeded {timeout}s"
-                    ) from None
-                timed_out = True
-                reason = "timeout"
-            except (RuntimeError, ArithmeticError):
-                # The relaxation LP "should not" fail (it is always
-                # feasible) but solver pathologies happen under load; a
-                # flagged coarse answer beats a 500.
-                if not self.config.degrade_on_failure:
-                    raise
-                lp_failed = True
-                reason = "lp-failure"
-            if estimate is not None:
-                if gate is not None:
-                    estimate = replace(
-                        estimate,
-                        confidence=gate.confidence,
-                        degradation_reasons=gate.reasons,
                     )
-                position = estimate.position
-                degraded = False
-            else:
-                position = self._fallback_position(localizer, request.anchors)
-                degraded = True
+                reasons[i] = "timeout"
+                return True
+
+            for members in groups.values():
+                live = [i for i in members if not expired(i)]
+                if not live:
+                    continue
+                solved = self._solve_group(
+                    localizers[live[0]], [requests[i] for i in live]
+                )
+                for i, estimate in zip(live, solved):
+                    if estimate is None:
+                        reasons[i] = "lp-failure"
+                    elif not expired(i):
+                        estimates[i] = estimate
             latency = time.perf_counter() - started
-            self.metrics.record_completed(
-                latency,
-                degraded=degraded,
-                timed_out=timed_out,
-                lp_failed=lp_failed,
-            )
+            responses = []
+            for i, request in enumerate(requests):
+                estimate = estimates[i]
+                if estimate is None:
+                    position = localizers[i].project_into_area(
+                        weighted_centroid(request.anchors)
+                    )
+                else:
+                    if request.gate is not None:
+                        estimate = replace(
+                            estimate,
+                            confidence=request.gate.confidence,
+                            degradation_reasons=request.gate.reasons,
+                        )
+                    position = estimate.position
+                self.metrics.record_completed(
+                    latency,
+                    degraded=estimate is None,
+                    timed_out=reasons[i] == "timeout",
+                    lp_failed=reasons[i] == "lp-failure",
+                )
+                responses.append(
+                    LocalizationResponse(
+                        query_id=request.query_id,
+                        position=position,
+                        estimate=estimate,
+                        degraded=estimate is None,
+                        reason=reasons[i],
+                        cache_hit=cache_hits[i],
+                        latency_s=latency,
+                    )
+                )
             # The queue-wait vs compute split: ``queue_wait_s`` is load
             # (time spent admitted but unpicked), ``compute_s`` is work.
             sp.set(
                 queue_wait_s=queue_wait_s,
                 compute_s=latency,
-                cache_hit=cache_hit,
-                degraded=degraded,
+                cache_hit=all(cache_hits),
+                degraded=any(r.degraded for r in responses),
             )
-            if gate is not None:
-                sp.set(
-                    link_confidence=gate.confidence,
-                    degraded_links=len(gate.degraded),
-                    rejected_links=len(gate.rejected),
-                )
-            return LocalizationResponse(
-                query_id=request.query_id,
-                position=position,
-                estimate=estimate,
-                degraded=degraded,
-                reason=reason,
-                cache_hit=cache_hit,
-                latency_s=latency,
-            )
-
-    def _handle_batch(
-        self, requests: list[LocalizationRequest]
-    ) -> list[LocalizationResponse]:
-        """Serve a micro-batch through the stacked-LP path.
-
-        Requests carrying a deadline run the scalar cooperative-deadline
-        path; the rest are grouped by venue topology and solved with one
-        :meth:`~repro.core.NomLocLocalizer.locate_batch` pass per group.
-        Any group whose stacked solve fails falls back to per-request
-        scalar handling, so one poisoned query degrades only itself —
-        exactly the scalar path's failure isolation.  Served positions
-        are bit-identical to per-request serving either way.
-        """
-        responses: list[LocalizationResponse | None] = [None] * len(requests)
-        groups: dict[int, list[int]] = {}
-        localizers: dict[int, tuple[NomLocLocalizer, list[bool]]] = {}
-        for i, request in enumerate(requests):
-            timeout = (
-                request.timeout_s
-                if request.timeout_s is not None
-                else self.config.timeout_s
-            )
-            if timeout is not None:
-                # Deadlines are enforced cooperatively *between* piece
-                # solves; a stacked pass has no such boundary, so these
-                # take the scalar path.
-                responses[i] = self._handle(request, allow_piece_pool=False)
-                continue
-            area = request.area if request.area is not None else self.area
-            localizer, cache_hit = self._localizer_for(area)
-            key = id(localizer)
-            if key not in localizers:
-                localizers[key] = (localizer, [])
-            localizers[key][1].append(cache_hit)
-            groups.setdefault(key, []).append(i)
-        for key, members in groups.items():
-            localizer, cache_hits = localizers[key]
-            group = [requests[i] for i in members]
-            try:
-                served = self._solve_group(localizer, group, cache_hits)
-            except (RuntimeError, ArithmeticError):
-                # Per-request fallback: re-serving scalar re-runs the
-                # cache lookup and degrades (or raises) per query.
-                served = [
-                    self._handle(request, allow_piece_pool=False)
-                    for request in group
-                ]
-            for i, response in zip(members, served):
-                responses[i] = response
-        return responses  # type: ignore[return-value]  # every slot filled
+            return responses
 
     def _solve_group(
-        self,
-        localizer: NomLocLocalizer,
-        requests: list[LocalizationRequest],
-        cache_hits: list[bool],
-    ) -> list[LocalizationResponse]:
-        """One topology group's stacked solve + per-request bookkeeping."""
-        with span("serve.batch", queries=len(requests)) as sp:
-            started = time.perf_counter()
-            estimates = localizer.locate_batch(
-                [request.anchors for request in requests],
+        self, localizer: NomLocLocalizer, group: list[LocalizationRequest]
+    ) -> list[LocationEstimate | None]:
+        """One topology group's stacked solve; ``None`` marks an LP failure.
+
+        A stacked pass that raises is re-solved one member at a time, so
+        a poisoned query degrades only itself.
+        """
+        try:
+            return localizer.locate_batch(
+                [request.anchors for request in group],
                 quality_weights=[
                     request.gate.quality_weights
                     if request.gate is not None
                     else None
-                    for request in requests
+                    for request in group
                 ],
                 bisector_cache=self.bisector_cache,
             )
-            latency = time.perf_counter() - started
-            sp.set(compute_s=latency)
-            responses = []
-            for request, estimate, cache_hit in zip(
-                requests, estimates, cache_hits
-            ):
-                gate = request.gate
-                if gate is not None:
-                    self.metrics.record_gating(
-                        len(gate.degraded), len(gate.rejected)
-                    )
-                    estimate = replace(
-                        estimate,
-                        confidence=gate.confidence,
-                        degradation_reasons=gate.reasons,
-                    )
-                self.metrics.record_cache(cache_hit)
-                # Every request in the chunk completes when the chunk
-                # does, so the chunk wall time is each one's latency.
-                self.metrics.record_completed(latency, degraded=False)
-                responses.append(
-                    LocalizationResponse(
-                        query_id=request.query_id,
-                        position=estimate.position,
-                        estimate=estimate,
-                        cache_hit=cache_hit,
-                        latency_s=latency,
-                    )
-                )
-            return responses
-
-    def _solve(
-        self,
-        localizer: NomLocLocalizer,
-        anchors: Sequence[Anchor],
-        deadline: float | None,
-        allow_piece_pool: bool,
-        quality_weights=None,
-    ) -> LocationEstimate:
-        """The full SP pipeline with a cooperative between-piece deadline."""
-        shared = localizer.build_shared_constraints(
-            anchors,
-            bisector_cache=self.bisector_cache,
-            quality_weights=quality_weights,
-        )
-
-        def solve_one(index: int):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise _DeadlineExceeded
-            return localizer.solve_piece(index, shared)
-
-        indices = range(len(localizer.pieces))
-        if (
-            allow_piece_pool
-            and self.config.parallel_pieces
-            and self.pool.concurrent
-        ):
-            solutions = self.pool.map_ordered(solve_one, indices)
-        else:
-            solutions = [solve_one(idx) for idx in indices]
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _DeadlineExceeded
-        return localizer.estimate_from_solutions(solutions)
-
-    def _fallback_position(
-        self, localizer: NomLocLocalizer, anchors: Sequence[Anchor]
-    ) -> Point:
-        """Graceful degradation: :func:`weighted_centroid` of the
-        anchors, projected into the venue — coarse, but calibration-free
-        and O(anchors)."""
-        return localizer.project_into_area(weighted_centroid(anchors))
+        except (RuntimeError, ArithmeticError):
+            if len(group) > 1:
+                return [
+                    estimate
+                    for request in group
+                    for estimate in self._solve_group(localizer, [request])
+                ]
+            # The relaxation LP "should not" fail (it is always
+            # feasible) but solver pathologies happen under load; a
+            # flagged coarse answer beats a 500.
+            if not self.config.degrade_on_failure:
+                raise
+            return [None]

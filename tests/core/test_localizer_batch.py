@@ -107,18 +107,6 @@ class TestWinnerOnlyLaziness:
                     (p.x, p.y) for p in sol.region.vertices
                 ]
 
-    def test_solve_pieces_batch_matches_solve_piece(self):
-        scenario, queries = gather_queries("lobby", 3)
-        localizer = NomLocLocalizer(scenario.plan.boundary)
-        indices = list(range(len(localizer.pieces)))
-        for anchors in queries:
-            shared = localizer.build_shared_constraints(anchors)
-            batched = localizer.solve_pieces_batch(indices, shared)
-            for index, sol in zip(indices, batched):
-                ref = localizer.solve_piece(index, shared)
-                assert sol.cost == ref.cost
-                assert sol.center == ref.center
-
 
 class TestLazyVsEagerEstimates:
     """locate_batch must be bit-identical to locate, per query, always."""

@@ -1,12 +1,14 @@
 """The instrumentation switch: no-op semantics, pool safety, bit-exactness."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import NomLocSystem, SystemConfig
 from repro.environment import get_scenario
-from repro.serving import LocalizationService, ServingConfig, WorkerPool
+from repro.serving import LocalizationService
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +79,8 @@ class TestSwitch:
 
 
 class TestWorkerPoolSafety:
+    """Spans from executor threads — the gateway solver bridge's shape."""
+
     def test_spans_from_pool_workers_all_collected(self):
         def traced_task(i):
             with obs.span("pool.task", index=i) as sp:
@@ -84,8 +88,8 @@ class TestWorkerPoolSafety:
             return i
 
         with obs.capture() as tracer:
-            with WorkerPool(max_workers=4) as pool:
-                results = pool.map_ordered(traced_task, range(32))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(traced_task, range(32)))
         assert results == list(range(32))
         spans = [s for s in tracer.finished() if s.name == "pool.task"]
         assert len(spans) == 32
@@ -94,26 +98,26 @@ class TestWorkerPoolSafety:
 
     def test_pooled_service_collects_query_spans(self):
         scenario, anchor_sets = _gather(count=6)
-        config = ServingConfig(max_workers=3)
         with obs.capture() as tracer:
             with LocalizationService(
-                scenario.plan.boundary, config=config
-            ) as service:
-                responses = service.batch(anchor_sets)
+                scenario.plan.boundary
+            ) as service, ThreadPoolExecutor(max_workers=3) as pool:
+                responses = list(pool.map(service.locate, anchor_sets))
         assert all(r.ok for r in responses)
         queries = [s for s in tracer.finished() if s.name == "serve.query"]
         assert len(queries) == len(anchor_sets)
-        # Each worker-thread query span carries the queue-wait/compute
-        # split and parents that thread's lp.solve spans.
+        # Each executor-thread query span carries the queue-wait/compute
+        # split and parents that thread's stacked-LP spans.
         for q in queries:
             assert "queue_wait_s" in q.attributes
             assert q.attributes["compute_s"] > 0.0
+            assert q.attributes["queries"] == 1
         solve_parents = {
             s.parent_id
             for s in tracer.finished()
-            if s.name == "lp.solve"
+            if s.name == "lp.solve_batch"
         }
-        assert solve_parents <= {q.span_id for q in queries}
+        assert solve_parents == {q.span_id for q in queries}
 
 
 class TestBitExactness:
@@ -149,5 +153,5 @@ class TestBitExactness:
                 service.batch(anchor_sets)
                 snap = service.metrics_snapshot()
         assert "serve.query" in snap["spans"]
-        assert "lp.solve" in snap["spans"]
+        assert "lp.solve_batch" in snap["spans"]
         assert snap["spans"]["serve.query"]["count"] == len(anchor_sets)

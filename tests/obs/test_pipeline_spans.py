@@ -1,12 +1,11 @@
 """Span names emitted by the batched locate pipeline.
 
 The per-stage aggregation in benchmarks and the profiler groups spans by
-name, so the batched entry points must keep their names disjoint from the
-scalar path's: ``locate_batch`` owns ``lp.solve_batch`` while
-``solve_pieces_batch`` owns ``lp.solve_pieces`` — the two carry different
-attribute sets and folding them under one name would corrupt any
-aggregate.  These tests pin the name partition and the counters each
-stage reports.
+name, so the batched entry point must keep its names disjoint from the
+scalar reference path's: ``locate_batch`` owns ``lp.solve_batch`` while
+``locate`` owns ``lp.solve`` — the two carry different attribute sets
+and folding them under one name would corrupt any aggregate.  These
+tests pin the name partition and the counters each stage reports.
 """
 
 import numpy as np
@@ -43,19 +42,7 @@ class TestPipelineSpanNames:
         # The batch entry points never route through the scalar stages
         # (and never borrow their names).
         assert "lp.solve" not in names
-        assert "lp.solve_pieces" not in names
         assert "constraints.build_shared" not in names
-
-    def test_solve_pieces_batch_has_its_own_name(self):
-        scenario, queries = lobby_queries(count=1)
-        localizer = NomLocLocalizer(scenario.plan.boundary)
-        shared = localizer.build_shared_constraints(queries[0])
-        with capture() as tracer:
-            localizer.solve_pieces_batch(range(len(localizer.pieces)), shared)
-        names = {s.name for s in tracer.finished()}
-        assert "lp.solve_pieces" in names
-        assert "lp.solve_batch" not in names
-        assert "lp.solve" not in names
 
     def test_scalar_locate_keeps_scalar_names(self):
         scenario, queries = lobby_queries(count=1)
@@ -65,7 +52,6 @@ class TestPipelineSpanNames:
         names = {s.name for s in tracer.finished()}
         assert {"constraints.build_shared", "lp.solve", "merge"} <= names
         assert "lp.solve_batch" not in names
-        assert "lp.solve_pieces" not in names
 
     def test_batch_span_counters(self):
         scenario, queries = lobby_queries()

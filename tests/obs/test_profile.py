@@ -19,9 +19,9 @@ class TestProfileScenario:
         for required in (
             "csi.synthesize",
             "cir.delay_profile",
-            "constraints.build_shared",
-            "constraints.pairwise",
-            "lp.solve",
+            "constraints.build_batch",
+            "constraints.pairwise_batch",
+            "lp.solve_batch",
             "merge",
             "serve.query",
         ):
@@ -37,7 +37,7 @@ class TestProfileScenario:
     def test_metrics_include_span_aggregates(self):
         result = obs.profile_scenario("lab", queries=2, packets=4)
         assert result.metrics["completed"] == 2
-        assert "lp.solve" in result.metrics["spans"]
+        assert "lp.solve_batch" in result.metrics["spans"]
         stages = result.stages()
         assert stages["serve.query"]["count"] == 2
 

@@ -1,7 +1,7 @@
 """Tests for the process-based serving workers.
 
-The process pool's contract mirrors the thread pool's: real parallelism
-is an implementation detail, the served bits are not.  Every test here
+The process pool's contract: real parallelism is an implementation
+detail, the served bits are not.  Every test here
 compares process-worker output against the sequential reference service
 with ``==`` on positions and LP diagnostics, never ``approx``.
 
@@ -20,7 +20,7 @@ from repro.serving import (
     LocalizationService,
     ServingConfig,
 )
-from repro.serving.procpool import ProcessWorkerPool
+from repro.serving.procpool import ProcessPool
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +64,16 @@ def assert_same_answer(seq, proc):
 
 
 class TestPoolLifecycle:
-    def test_submit_request_matches_sequential(self, lab, requests, reference):
-        with ProcessWorkerPool(
+    def test_chunks_of_one_match_sequential(self, lab, requests, reference):
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
-            assert pool.concurrent
             for req, seq in zip(requests, reference):
-                assert_same_answer(seq, pool.submit_request(req).result())
+                [proc] = pool.submit_chunk([req]).result()
+                assert_same_answer(seq, proc)
 
     def test_submit_chunk_runs_stacked_path(self, lab, requests, reference):
-        with ProcessWorkerPool(
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
             responses = pool.submit_chunk(requests).result()
@@ -86,7 +86,7 @@ class TestPoolLifecycle:
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fork start method only")
-        with ProcessWorkerPool(
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ):
             # The parent builds + warms the template before the executor
@@ -94,16 +94,16 @@ class TestPoolLifecycle:
             template = procpool_module._WORKER_SERVICE
             assert template is not None
             assert template.config.max_workers == 0  # never nests pools
-            assert template.config.worker_mode == "thread"
+            assert template.proc_pool is None
 
     def test_worker_count_validated(self, lab):
         with pytest.raises(ValueError):
-            ProcessWorkerPool(
+            ProcessPool(
                 lab.plan.boundary, None, ServingConfig(), max_workers=-2
             )
 
     def test_shutdown_idempotent(self, lab):
-        pool = ProcessWorkerPool(
+        pool = ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         )
         pool.shutdown()
@@ -112,7 +112,7 @@ class TestPoolLifecycle:
 
 class TestProcessModeService:
     def test_batch_bit_identical_to_sequential(self, lab, requests, reference):
-        config = ServingConfig(max_workers=2, worker_mode="process")
+        config = ServingConfig(max_workers=2)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             served = svc.batch(requests)
             snapshot = svc.metrics_snapshot()
@@ -124,9 +124,7 @@ class TestProcessModeService:
         assert snapshot["queue_depth"] == 0
 
     def test_chunked_batch_bit_identical(self, lab, requests, reference):
-        config = ServingConfig(
-            max_workers=1, worker_mode="process", lp_batch=3
-        )
+        config = ServingConfig(max_workers=1, lp_batch=3)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             served = svc.batch(requests)
             snapshot = svc.metrics_snapshot()
@@ -135,16 +133,19 @@ class TestProcessModeService:
         assert snapshot["completed"] == len(requests)
 
     def test_serve_stream_preserves_order(self, lab, requests, reference):
-        config = ServingConfig(max_workers=2, worker_mode="process")
+        config = ServingConfig(max_workers=2)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             streamed = list(svc.serve(requests))
         for seq, proc in zip(reference, streamed):
             assert_same_answer(seq, proc)
 
-    def test_process_mode_requires_workers(self):
-        with pytest.raises(ValueError, match="process worker_mode"):
-            ServingConfig(max_workers=0, worker_mode="process")
-
-    def test_unknown_worker_mode_rejected(self):
-        with pytest.raises(ValueError, match="worker_mode"):
-            ServingConfig(worker_mode="fiber")
+    def test_submit_resolves_to_one_response(self, lab, requests, reference):
+        config = ServingConfig(max_workers=1)
+        with LocalizationService(lab.plan.boundary, config=config) as svc:
+            futures = [svc.submit(req) for req in requests]
+            served = [f.result(timeout=30) for f in futures]
+            snapshot = svc.metrics_snapshot()
+        for seq, proc in zip(reference, served):
+            assert_same_answer(seq, proc)
+        assert snapshot["completed"] == len(requests)
+        assert snapshot["queue_depth"] == 0

@@ -4,9 +4,14 @@ Covers the serving subsystem's contract: cached-vs-uncached and
 concurrent-vs-sequential answers are bit-identical to the direct
 localizer, backpressure rejects at capacity, and LP failures/timeouts
 degrade gracefully to the flagged weighted-centroid fallback.
+
+Inline services (``max_workers=0``) serve on the submitting thread, so
+the backpressure and drain drills hold a slot from a submitter thread
+blocked inside the stacked solve.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +38,25 @@ def lab():
 @pytest.fixture(scope="module")
 def lab_system(lab):
     return NomLocSystem(lab, SystemConfig(packets_per_link=4))
+
+
+def block_stacked_solves(monkeypatch):
+    """Make every stacked solve wait for the returned ``gate`` event.
+
+    Returns ``(gate, solving)``: ``solving`` is set once a solve has
+    entered (its request already holds an admission slot).
+    """
+    gate = threading.Event()
+    solving = threading.Event()
+    inner = NomLocLocalizer.locate_batch
+
+    def blocking_batch(self, *args, **kwargs):
+        solving.set()
+        assert gate.wait(timeout=10)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(NomLocLocalizer, "locate_batch", blocking_batch)
+    return gate, solving
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +96,7 @@ class TestBitExactness:
         with LocalizationService(lab.plan.boundary) as seq_svc:
             sequential = seq_svc.batch(anchors)
         with LocalizationService(
-            lab.plan.boundary, config=ServingConfig(max_workers=4)
+            lab.plan.boundary, config=ServingConfig(max_workers=2)
         ) as conc_svc:
             concurrent = conc_svc.batch(anchors)
         for s, c in zip(sequential, concurrent):
@@ -89,35 +113,61 @@ class TestBitExactness:
                 assert resp.estimate.relaxation_cost == direct.relaxation_cost
                 assert not resp.degraded
 
-    def test_parallel_pieces_identical(self, lab, anchor_sets):
-        config = ServingConfig(max_workers=2, parallel_pieces=True)
-        localizer = NomLocLocalizer(lab.plan.boundary)
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            for _, anchors in anchor_sets[:3]:
-                assert (
-                    service.locate(anchors).position
-                    == localizer.locate(anchors).position
+    @pytest.mark.parametrize("venue", ["lab", "lobby"])
+    def test_gated_and_ungated_match_direct_localizer(self, venue):
+        from repro.guard import LinkFaultInjector, LinkFaultPlan, gate_records
+
+        scenario = get_scenario(venue)
+        system = NomLocSystem(scenario, SystemConfig(packets_per_link=4))
+        metric = system.config.resolve_metric()
+        # Light dropout leaves a mix of full- and down-weighted links.
+        plan = LinkFaultPlan.subcarrier_dropout(0.2)
+        injector = LinkFaultInjector(plan, seed=3)
+        localizer = NomLocLocalizer(scenario.plan.boundary)
+        with LocalizationService(scenario.plan.boundary) as service:
+            for i, site in enumerate(scenario.test_sites[:3]):
+                rng = np.random.default_rng(np.random.SeedSequence([9, i]))
+                records = system.gather_link_records(site, rng)
+                anchors = tuple(r.to_anchor(metric) for r in records)
+                gate = gate_records(injector.corrupt_batch(records), 4)
+                assert min(gate.quality_weights.values()) < 1.0
+                ungated = service.locate_request(
+                    LocalizationRequest(anchors, query_id=f"u{i}")
                 )
+                gated = service.locate_request(
+                    LocalizationRequest(gate.anchors, query_id=f"g{i}", gate=gate)
+                )
+                direct = localizer.locate(anchors)
+                direct_gated = localizer.locate(
+                    gate.anchors, quality_weights=gate.quality_weights
+                )
+                assert ungated.position == direct.position
+                assert ungated.estimate.relaxation_cost == direct.relaxation_cost
+                assert gated.position == direct_gated.position
+                assert (
+                    gated.estimate.relaxation_cost
+                    == direct_gated.relaxation_cost
+                )
+                assert gated.confidence == gate.confidence
 
 
 class TestBackpressure:
-    def test_submit_rejects_when_queue_full(self, lab, anchor_sets):
+    def test_submit_rejects_when_queue_full(
+        self, lab, anchor_sets, monkeypatch
+    ):
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1, queue_capacity=1)
-        gate = threading.Event()
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            inner_solve = service._solve
-
-            def blocking_solve(*args, **kwargs):
-                assert gate.wait(timeout=10)
-                return inner_solve(*args, **kwargs)
-
-            service._solve = blocking_solve
-            first = service.submit(anchors)  # occupies the only slot
+        config = ServingConfig(queue_capacity=1)
+        gate, solving = block_stacked_solves(monkeypatch)
+        with LocalizationService(
+            lab.plan.boundary, config=config
+        ) as service, ThreadPoolExecutor(1) as submitter:
+            # The submitter thread occupies the only slot.
+            first = submitter.submit(service.submit, anchors)
+            assert solving.wait(timeout=10)
             with pytest.raises(QueueFullError):
                 service.submit(anchors)
             gate.set()
-            assert first.result(timeout=10).position is not None
+            assert first.result(timeout=10).result().position is not None
             snap = service.metrics_snapshot()
         assert snap["rejected"] == 1
         assert snap["admitted"] == 1
@@ -152,23 +202,20 @@ class TestConfigValidation:
 
 class TestQueueFullUnderConcurrency:
     def test_racing_submitters_shed_against_capacity_one(
-        self, lab, anchor_sets
+        self, lab, anchor_sets, monkeypatch
     ):
         """Satellite drill: real threads racing a saturated capacity-1
         service all bounce with QueueFullError, and the shed total is
         visible in the metrics snapshot."""
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1, queue_capacity=1)
-        gate = threading.Event()
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            inner_solve = service._solve
-
-            def blocking_solve(*args, **kwargs):
-                assert gate.wait(timeout=10)
-                return inner_solve(*args, **kwargs)
-
-            service._solve = blocking_solve
-            first = service.submit(anchors)  # saturates the only slot
+        config = ServingConfig(queue_capacity=1)
+        gate, solving = block_stacked_solves(monkeypatch)
+        with LocalizationService(
+            lab.plan.boundary, config=config
+        ) as service, ThreadPoolExecutor(1) as submitter:
+            # The submitter thread saturates the only slot.
+            first = submitter.submit(service.submit, anchors)
+            assert solving.wait(timeout=10)
             outcomes = []
 
             def racer():
@@ -183,7 +230,7 @@ class TestQueueFullUnderConcurrency:
             for t in threads:
                 t.join(timeout=10)
             gate.set()
-            assert first.result(timeout=10).position is not None
+            assert first.result(timeout=10).result().position is not None
             snap = service.metrics_snapshot()
         assert outcomes == [QueueFullError] * 4
         assert snap["rejected"] == 4
@@ -210,26 +257,22 @@ class TestLifecycle:
             list(service.serve([anchors]))
         service.close()  # idempotent
 
-    def test_drain_waits_for_in_flight_queries(self, lab, anchor_sets):
+    def test_drain_waits_for_in_flight_queries(
+        self, lab, anchor_sets, monkeypatch
+    ):
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1)
-        gate = threading.Event()
-        service = LocalizationService(lab.plan.boundary, config=config)
-        inner_solve = service._solve
-
-        def blocking_solve(*args, **kwargs):
-            assert gate.wait(timeout=10)
-            return inner_solve(*args, **kwargs)
-
-        service._solve = blocking_solve
-        future = service.submit(anchors)
-        # The in-flight query is stuck; a bounded drain times out but
-        # keeps the pool alive so the query can still finish.
-        with pytest.raises(TimeoutError):
-            service.drain(timeout_s=0.05)
-        assert service.closed
-        gate.set()
-        assert future.result(timeout=10).position is not None
+        gate, solving = block_stacked_solves(monkeypatch)
+        service = LocalizationService(lab.plan.boundary)
+        with ThreadPoolExecutor(1) as submitter:
+            future = submitter.submit(service.submit, anchors)
+            assert solving.wait(timeout=10)
+            # The in-flight query is stuck; a bounded drain times out
+            # but leaves the service able to finish it.
+            with pytest.raises(TimeoutError):
+                service.drain(timeout_s=0.05)
+            assert service.closed
+            gate.set()
+            assert future.result(timeout=10).result().position is not None
         snapshot = service.drain()
         assert snapshot["completed"] == 1
         assert snapshot["queue_depth"] == 0
@@ -239,11 +282,11 @@ class TestGracefulDegradation:
     def test_injected_lp_failure_degrades(self, lab, anchor_sets, monkeypatch):
         truth, anchors = anchor_sets[0]
 
-        def broken_relaxation(system):
+        def broken_relaxation(systems):
             raise RuntimeError("injected LP failure")
 
         monkeypatch.setattr(
-            localizer_module, "solve_relaxation", broken_relaxation
+            localizer_module, "solve_relaxation_batch", broken_relaxation
         )
         with LocalizationService(lab.plan.boundary) as service:
             resp = service.locate(anchors)
@@ -261,11 +304,11 @@ class TestGracefulDegradation:
     ):
         _, anchors = anchor_sets[0]
 
-        def broken_relaxation(system):
+        def broken_relaxation(systems):
             raise RuntimeError("injected LP failure")
 
         monkeypatch.setattr(
-            localizer_module, "solve_relaxation", broken_relaxation
+            localizer_module, "solve_relaxation_batch", broken_relaxation
         )
         config = ServingConfig(degrade_on_failure=False)
         with LocalizationService(lab.plan.boundary, config=config) as service:
@@ -343,45 +386,67 @@ class TestMicroBatching:
                     == seq.estimate.num_constraints
                 )
 
-    def test_lp_batch_composes_with_thread_workers(self, lab, anchor_sets):
+    def test_chunks_larger_than_queue_capacity_complete(
+        self, lab, anchor_sets
+    ):
+        # A chunk is admitted whole before it is served, so chunks are
+        # capped at the queue capacity instead of waiting forever for
+        # slots only their own completion would free.
         anchors = [a for _, a in anchor_sets]
-        with LocalizationService(lab.plan.boundary) as reference:
-            expected = reference.batch(anchors)
-        config = ServingConfig(max_workers=2, lp_batch=2)
+        config = ServingConfig(lp_batch=8, queue_capacity=2)
         with LocalizationService(lab.plan.boundary, config=config) as service:
             served = service.batch(anchors)
             snap = service.metrics_snapshot()
-        assert [r.position for r in served] == [r.position for r in expected]
-        assert snap["completed"] == len(anchors)
+        localizer = NomLocLocalizer(lab.plan.boundary)
+        assert [r.position for r in served] == [
+            localizer.locate(a).position for a in anchors
+        ]
         assert snap["queue_depth"] == 0
 
-    def test_deadline_requests_take_scalar_path(self, lab, anchor_sets):
-        # A request with its own deadline cannot ride a stacked pass
-        # (deadlines are checked between piece solves); it must still be
-        # answered, in order, alongside its chunked batch mates.
-        _, anchors = anchor_sets[0]
+    def test_chunk_mixes_expired_and_live_deadlines(self, lab, anchor_sets):
+        # Deadlines are checked before and after the stacked pass, per
+        # request: an expired one degrades alone, in order, while its
+        # live chunk mates (with or without deadlines) are answered
+        # bit-identically.
         requests = [
             LocalizationRequest(a, query_id=f"q{i}")
             for i, (_, a) in enumerate(anchor_sets)
         ]
+        requests[1] = LocalizationRequest(
+            anchor_sets[1][1], query_id="q1", timeout_s=1e-9
+        )
         requests[2] = LocalizationRequest(
-            anchors, query_id="q2", timeout_s=30.0
+            anchor_sets[2][1], query_id="q2", timeout_s=30.0
         )
         config = ServingConfig(lp_batch=3)
         with LocalizationService(lab.plan.boundary, config=config) as service:
             served = service.batch(requests)
-        with LocalizationService(lab.plan.boundary) as reference:
-            expected = reference.batch(requests)
+            snap = service.metrics_snapshot()
+        localizer = NomLocLocalizer(lab.plan.boundary)
         assert [r.query_id for r in served] == [f"q{i}" for i in range(6)]
-        assert [r.position for r in served] == [r.position for r in expected]
+        assert served[1].degraded and served[1].reason == "timeout"
+        for response, request in zip(served, requests):
+            if response.query_id == "q1":
+                continue
+            assert not response.degraded
+            assert (
+                response.position == localizer.locate(request.anchors).position
+            )
+        assert snap["timeouts"] == 1
+        assert snap["completed"] == len(requests)
 
     def test_poisoned_group_degrades_per_request(
         self, lab, anchor_sets, monkeypatch
     ):
-        # When the stacked solve blows up, the chunk falls back to scalar
-        # handling so only genuinely-failing queries degrade.
-        def broken_batch(*args, **kwargs):
-            raise RuntimeError("stacked solve corrupted")
+        # When a stacked pass over several queries blows up, the group is
+        # re-solved one query at a time so only genuinely-failing
+        # queries degrade.
+        inner = localizer_module.NomLocLocalizer.locate_batch
+
+        def broken_batch(self, queries, *args, **kwargs):
+            if len(queries) > 1:
+                raise RuntimeError("stacked solve corrupted")
+            return inner(self, queries, *args, **kwargs)
 
         monkeypatch.setattr(
             localizer_module.NomLocLocalizer, "locate_batch", broken_batch
@@ -390,8 +455,8 @@ class TestMicroBatching:
         config = ServingConfig(lp_batch=3)
         with LocalizationService(lab.plan.boundary, config=config) as service:
             served = service.batch(anchors)
-        with LocalizationService(lab.plan.boundary) as reference:
-            expected = reference.batch(anchors)
+        localizer = NomLocLocalizer(lab.plan.boundary)
+        expected = [localizer.locate(a) for a in anchors]
         assert [r.position for r in served] == [r.position for r in expected]
         assert all(not r.degraded for r in served)
 

@@ -340,7 +340,7 @@ class TestProfileCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "profiled 2 queries" in out
-        for stage in ("csi", "cir", "constraints", "lp.solve", "merge"):
+        for stage in ("csi", "cir", "constraints", "lp.solve_batch", "merge"):
             assert stage in out, f"stage {stage} missing from breakdown"
         assert "simplex.pivots" in out  # pivot counter surfaced
 
@@ -355,7 +355,7 @@ class TestProfileCommand:
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         spans = load_jsonl(path)
-        assert spans and {s.name for s in spans} >= {"lp.solve", "merge"}
+        assert spans and {s.name for s in spans} >= {"lp.solve_batch", "merge"}
 
     def test_bad_count(self, capsys):
         assert main(["profile", "lab", "-n", "0"]) == 2

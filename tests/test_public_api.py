@@ -65,6 +65,33 @@ class TestPublicAPI:
                         )
 
 
+class TestRemovedNames:
+    """One serve path: the thread pool and the piece mapper are gone."""
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.serving", "WorkerPool"),
+            ("repro.serving", "ProcessWorkerPool"),
+            ("repro.core", "PieceMapper"),
+            ("repro.core.localizer", "PieceMapper"),
+        ],
+    )
+    def test_not_exported(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert name not in getattr(module, "__all__", [])
+        assert not hasattr(module, name)
+
+    def test_serving_config_has_no_worker_mode_knobs(self):
+        from dataclasses import fields
+
+        from repro.serving import ServingConfig
+
+        names = {f.name for f in fields(ServingConfig)}
+        assert not names & {"worker_mode", "parallel_pieces"}
+        assert len(names) == 10
+
+
 class TestVersioning:
     def test_version_string(self):
         import repro
