@@ -4,8 +4,9 @@ Three quality gates over the PR's performance work, enforced in CI's
 benchmark smoke job:
 
 * **synthesis speedup** — the vectorized ``CSISynthesizer.synthesize_batch``
-  must beat the scalar reference loop by ``MIN_SYNTHESIS_SPEEDUP`` at the
-  canonical 100 packets x 8 paths workload;
+  must beat the scalar per-packet oracle (``tests/oracles``) by
+  ``MIN_SYNTHESIS_SPEEDUP`` at the canonical 100 packets x 8 paths
+  workload;
 * **bit-exactness** — vectorized synthesis (CSI + RSSI), batched PDP
   extraction, and process-parallel campaigns must all reproduce their
   scalar/sequential references bit-for-bit;
@@ -33,6 +34,7 @@ from repro.environment import get_scenario
 from repro.eval import format_table, run_campaign
 
 from conftest import run_once
+from tests.oracles.csi import synthesize_batch_scalar
 
 PACKETS = 100
 PATHS = 8
@@ -84,8 +86,8 @@ def _synthesis_comparison() -> dict:
     paths = _make_paths()
 
     scalar_s, scalar_batch = _best_of(
-        lambda: synthesizer.synthesize_batch_scalar(
-            paths, PACKETS, np.random.default_rng(SEED)
+        lambda: synthesize_batch_scalar(
+            synthesizer, paths, PACKETS, np.random.default_rng(SEED)
         )
     )
     vector_s, vector_batch = _best_of(

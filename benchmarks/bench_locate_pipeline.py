@@ -11,17 +11,18 @@ winner-only lazy geometry).  This bench pins the win three ways:
   workload (frozen below as :data:`PR7_BATCHED_QPS` — the live ledger
   file is rewritten by every bench run, so the floor pins the numbers
   this PR was accepted against);
-* **bit-exactness** — ``locate_batch`` answers bit-identically to the
-  scalar ``locate`` per query, for both the default CENTROID centring and
-  the LP-heavy CHEBYSHEV method (the stacked Chebyshev path);
+* **bit-exactness** — ``locate_batch`` (and ``locate``, its batch of one)
+  answers bit-identically to the scalar oracle chain in ``tests/oracles``
+  per query, for both the default CENTROID centring and the LP-heavy
+  CHEBYSHEV method (the stacked Chebyshev path);
 * **stage split** — an untimed instrumented pass records where batch
   wall-time goes (constraint assembly / stacked LPs / geometry / merge),
   so future regressions name their stage instead of just moving a total;
-* **batch-of-1** — every served query goes through ``locate_batch``, so
-  a single query is a batch of one.  ``batch1_qps`` times that shape
-  one query at a time against the scalar reference ``locate`` on the
-  same warm localizer (``locate_qps``), interleaved best-of-``REPS``;
-  batch-of-1 must keep at least :data:`BATCH1_FLOOR` of the reference.
+* **batch-of-1** — ``locate`` is ``locate_batch`` on a batch of one.
+  ``batch1_qps`` times it one query at a time against the scalar oracle
+  ``tests.oracles.localizer.locate`` on the same warm localizer
+  (``oracle_qps``), interleaved best-of-``REPS``; batch-of-1 must keep
+  at least :data:`BATCH1_FLOOR` of the oracle.
 
 Results persist to ``results/PIPELINE.txt`` and the machine-readable
 ledger ``results/BENCH_locate_pipeline.json`` that the CI regression gate
@@ -46,13 +47,14 @@ from repro.obs import capture
 from repro.serving import LocalizationService, ServingConfig
 
 from conftest import run_once
+from tests.oracles import localizer as oracle
 
 QUERIES = 64
 PACKETS = 6
 REPS = 3
 SCENARIOS = ("lab", "lobby")
 SPEEDUP_FLOOR = 1.5
-#: Batch-of-1 QPS floor as a fraction of the scalar ``locate`` QPS.
+#: Batch-of-1 QPS floor as a fraction of the scalar oracle's QPS.
 BATCH1_FLOOR = 0.75
 
 #: ``cached-batched`` QPS from the committed PR-7 serving ledger
@@ -103,15 +105,15 @@ def _time_batched_serving(scenario, anchor_sets):
 
 
 def _time_batch_of_one(scenario, anchor_sets):
-    """Best-of-REPS QPS of one-query ``locate_batch`` vs scalar ``locate``.
+    """Best-of-REPS QPS of ``locate`` (a batch of one) vs the oracle.
 
     Same warm localizer, no bisector cache on either side; the two
     shapes alternate within each repetition so noise hits both.
     """
     localizer = NomLocLocalizer(scenario.plan.boundary).warm()
     shapes = {
-        "batch1": lambda anchors: localizer.locate_batch([anchors]),
-        "locate": localizer.locate,
+        "batch1": localizer.locate,
+        "oracle": lambda anchors: oracle.locate(localizer, anchors),
     }
     best = dict.fromkeys(shapes, float("inf"))
     for _ in range(REPS):
@@ -124,25 +126,26 @@ def _time_batch_of_one(scenario, anchor_sets):
 
 
 def _bit_exact(scenario, anchor_sets, method):
-    """locate_batch vs scalar locate, winner regions included."""
+    """locate_batch and locate vs the scalar oracle, regions included."""
     localizer = NomLocLocalizer(
         scenario.plan.boundary, LocalizerConfig(center_method=method)
     ).warm()
     batched = localizer.locate_batch(list(anchor_sets))
     for anchors, est in zip(anchor_sets, batched):
-        scalar = localizer.locate(anchors)
-        if (
-            scalar.position != est.position
-            or scalar.relaxation_cost != est.relaxation_cost
-            or scalar.num_constraints != est.num_constraints
-        ):
-            return False
-        if (scalar.region is None) != (est.region is None):
-            return False
-        if scalar.region is not None and [
-            (p.x, p.y) for p in scalar.region.vertices
-        ] != [(p.x, p.y) for p in est.region.vertices]:
-            return False
+        scalar = oracle.locate(localizer, anchors)
+        for got in (est, localizer.locate(anchors)):
+            if (
+                scalar.position != got.position
+                or scalar.relaxation_cost != got.relaxation_cost
+                or scalar.num_constraints != got.num_constraints
+            ):
+                return False
+            if (scalar.region is None) != (got.region is None):
+                return False
+            if scalar.region is not None and [
+                (p.x, p.y) for p in scalar.region.vertices
+            ] != [(p.x, p.y) for p in got.region.vertices]:
+                return False
     return True
 
 
@@ -168,7 +171,7 @@ def _pipeline_comparison():
             "qps": timing["qps"],
             "p50_ms": timing["p50_ms"],
             "batch1_qps": single["batch1"],
-            "locate_qps": single["locate"],
+            "oracle_qps": single["oracle"],
             "responses": timing["responses"],
             "stage_ms": _stage_split_ms(scenario, anchor_sets),
             "bit_exact": {
@@ -184,9 +187,9 @@ def test_locate_pipeline(benchmark, save_result, save_json):
 
     rows = []
     for scenario_name, r in results.items():
-        # Every centring method answers bit-identically to the scalar path.
+        # Every centring method answers bit-identically to the oracle.
         for method, ok in r["bit_exact"].items():
-            assert ok, f"{scenario_name}/{method}: batch diverged from scalar"
+            assert ok, f"{scenario_name}/{method}: locate diverged from oracle"
         # The vectorized pipeline must beat the PR-7 batched serving path
         # by the floor, on the identical workload and serving config.
         base_qps = PR7_BATCHED_QPS[scenario_name]
@@ -196,13 +199,13 @@ def test_locate_pipeline(benchmark, save_result, save_json):
             f"only {speedup:.2f}x the PR-7 baseline {base_qps:.1f} q/s "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
-        # A single query rides the stacked path too (batch-of-1 serving);
-        # it must stay within the floor of the scalar reference.
-        batch1_ratio = r["batch1_qps"] / r["locate_qps"]
+        # A single query rides the stacked path too (batch-of-1); it
+        # must stay within the floor of the scalar oracle.
+        batch1_ratio = r["batch1_qps"] / r["oracle_qps"]
         assert batch1_ratio >= BATCH1_FLOOR, (
             f"{scenario_name}: batch-of-1 at {r['batch1_qps']:.1f} q/s is "
-            f"only {batch1_ratio:.2f}x scalar locate {r['locate_qps']:.1f} "
-            f"q/s (floor {BATCH1_FLOOR}x)"
+            f"only {batch1_ratio:.2f}x the scalar oracle "
+            f"{r['oracle_qps']:.1f} q/s (floor {BATCH1_FLOOR}x)"
         )
         stage = r["stage_ms"]
         rows.append(
@@ -212,7 +215,7 @@ def test_locate_pipeline(benchmark, save_result, save_json):
                 round(r["p50_ms"], 2),
                 round(speedup, 2),
                 round(r["batch1_qps"], 1),
-                round(r["locate_qps"], 1),
+                round(r["oracle_qps"], 1),
                 round(stage["constraints.build_batch"], 2),
                 round(stage["lp.solve_batch"], 2),
                 round(stage["geometry.batch"], 2),
@@ -227,7 +230,7 @@ def test_locate_pipeline(benchmark, save_result, save_json):
             "p50(ms)",
             "vs-pr7",
             "batch1-qps",
-            "locate-qps",
+            "oracle-qps",
             "assemble(ms)",
             "lp(ms)",
             "geometry(ms)",
@@ -244,8 +247,8 @@ def test_locate_pipeline(benchmark, save_result, save_json):
                 "p50_ms": r["p50_ms"],
                 "speedup_vs_pr7": r["qps"] / PR7_BATCHED_QPS[scenario_name],
                 "batch1_qps": r["batch1_qps"],
-                "locate_qps": r["locate_qps"],
-                "batch1_vs_locate": r["batch1_qps"] / r["locate_qps"],
+                "oracle_qps": r["oracle_qps"],
+                "batch1_vs_oracle": r["batch1_qps"] / r["oracle_qps"],
                 "bit_exact": r["bit_exact"],
                 "stage_ms": {
                     name.replace(".", "_"): ms

@@ -16,7 +16,7 @@ from repro.core import (
     NomLocSystem,
     SystemConfig,
     boundary_constraints,
-    pairwise_constraints,
+    pairwise_constraints_batch,
     solve_relaxation,
 )
 from repro.environment import get_scenario
@@ -68,10 +68,10 @@ def test_relaxation_lp(benchmark):
         Anchor(f"A{i}", Point(*rng.uniform((0.5, 0.5), (11.5, 7.5))), float(pdp))
         for i, pdp in enumerate(rng.uniform(1e-6, 1e-4, 7))
     ]
-    system = ConstraintSystem(
-        tuple(pairwise_constraints(anchors, include_nomadic_pairs=True))
-        + tuple(boundary_constraints(area))
+    [(pairwise, _)] = pairwise_constraints_batch(
+        [anchors], include_nomadic_pairs=True
     )
+    system = ConstraintSystem(pairwise + tuple(boundary_constraints(area)))
     result = benchmark(solve_relaxation, system)
     assert result.slacks.shape == (len(system),)
 

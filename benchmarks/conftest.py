@@ -11,11 +11,18 @@ from __future__ import annotations
 import json
 import pathlib
 import platform
+import sys
 import time
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# The bit-exactness references live in ``tests/oracles``; make the repo
+# root importable so benches can compare against them.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 @pytest.fixture(scope="session")

@@ -250,7 +250,8 @@ class CSISynthesizer:
         consumed in exactly the per-packet call order of the scalar
         :meth:`synthesize` loop (fading draws, then noise, then RSSI
         jitter, packet by packet), so the outputs are bit-identical to
-        :meth:`synthesize_batch_scalar` — enforced by
+        ``num_packets`` sequential :meth:`synthesize` calls — enforced
+        against the per-packet oracle in ``tests/oracles`` by
         ``benchmarks/bench_hotpath.py`` and ``tests/channel``.
         """
         if num_packets < 0:
@@ -263,25 +264,6 @@ class CSISynthesizer:
             return self._synthesize_batch_vectorized(
                 paths, num_packets, rng, with_fading
             )
-
-    def synthesize_batch_scalar(
-        self,
-        paths: Sequence[PathComponent],
-        num_packets: int,
-        rng: np.random.Generator,
-        with_fading: bool = True,
-    ) -> list[CSIMeasurement]:
-        """Reference per-packet loop the vectorized batch must reproduce.
-
-        Kept as the ground truth for the bit-exactness guards; not used on
-        the hot path.
-        """
-        if num_packets < 0:
-            raise ValueError("num_packets must be non-negative")
-        return [
-            self.synthesize(paths, rng, with_fading)
-            for _ in range(num_packets)
-        ]
 
     # ------------------------------------------------------------------
     # Vectorized fast path

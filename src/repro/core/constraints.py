@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from ..geometry import (
     boundary_halfspaces,
 )
 from ..obs import span
-from .pdp import confidence_factor, proximity_confidence
+from .pdp import confidence_factor
 
 __all__ = [
     "ConstraintKind",
@@ -43,7 +42,6 @@ __all__ = [
     "ConstraintSystem",
     "Anchor",
     "BOUNDARY_WEIGHT",
-    "pairwise_constraints",
     "pairwise_constraints_batch",
     "boundary_constraints",
 ]
@@ -159,125 +157,6 @@ class ConstraintSystem:
         return ConstraintSystem(self.constraints + tuple(extra))
 
 
-def pairwise_constraints(
-    anchors: Sequence[Anchor],
-    include_nomadic_pairs: bool = False,
-    normalize: bool = True,
-    confidence_fn=confidence_factor,
-    bisector_cache=None,
-    quality_weights: Mapping[str, float] | None = None,
-) -> list[WeightedConstraint]:
-    """Bisector constraints for anchor pairs, oriented by PDP.
-
-    Parameters
-    ----------
-    anchors:
-        All anchors with their measured PDPs.  Pairs where both anchors
-        are nomadic sites are skipped unless ``include_nomadic_pairs`` —
-        the paper only compares nomadic sites against static APs
-        (Eq. 13 contributes ``n - 1`` rows per site).
-    normalize:
-        Scale each halfspace to a unit normal so LP slack variables are
-        measured in metres for every row; without this, rows from
-        far-apart anchor pairs get numerically larger coefficients and the
-        relaxation trades them off inconsistently.
-    confidence_fn:
-        Which Eq. 2-3-satisfying ``f`` weights the rows (the paper's
-        Eq. 4 by default; see
-        :data:`repro.core.pdp.CONFIDENCE_FUNCTIONS`).
-    bisector_cache:
-        Optional mapping (``get``/``__setitem__``) memoizing the
-        normalized bisector halfspace by (near, far) position pair —
-        anchor geometries recur across serving queries while the PDPs
-        (and hence orientations/weights) change, so only the geometric
-        part is cached.  The cached value is exactly what the uncached
-        path computes, keeping results bit-identical.
-    quality_weights:
-        Optional per-anchor link-quality scores in ``(0, 1]``, keyed by
-        anchor name (see :mod:`repro.guard`).  A judgement is only as
-        trustworthy as its *weaker* measurement, so each row's weight is
-        scaled by ``min(q_i, q_j)`` — degraded links argue more softly
-        in the relaxation LP instead of being believed at full
-        confidence.  ``None`` (and any anchor not in the mapping, which
-        defaults to 1.0) leaves weights bit-identical to the ungated
-        path.
-    """
-    with span("constraints.pairwise", anchors=len(anchors)) as sp:
-        out: list[WeightedConstraint] = []
-        n = len(anchors)
-        pdps = [a.pdp for a in anchors]
-        for i in range(n):
-            a_i = anchors[i]
-            p_i = pdps[i]
-            for j in range(i + 1, n):
-                a_j = anchors[j]
-                if a_i.nomadic and a_j.nomadic and not include_nomadic_pairs:
-                    continue
-                if a_i.position.almost_equals(a_j.position):
-                    continue  # coincident anchors give no information
-                # judge_proximity, inlined for the serving hot loop:
-                # larger PDP wins (ties to the lower index), confidence
-                # from the weaker/stronger power ratio — same arithmetic,
-                # minus the per-pair judgement object.
-                p_j = pdps[j]
-                confidence = proximity_confidence(p_i, p_j, confidence_fn)
-                if p_i >= p_j:
-                    near, far = a_i, a_j
-                else:
-                    near, far = a_j, a_i
-                hs = None
-                cache_key = None
-                if bisector_cache is not None:
-                    cache_key = (
-                        near.position.x,
-                        near.position.y,
-                        far.position.x,
-                        far.position.y,
-                        normalize,
-                    )
-                    hs = bisector_cache.get(cache_key)
-                if hs is None:
-                    hs = bisector_halfspace(near.position, far.position)
-                    if normalize:
-                        hs = hs.normalized()
-                    if bisector_cache is not None:
-                        bisector_cache[cache_key] = hs
-                kind = (
-                    ConstraintKind.NOMADIC
-                    if (a_i.nomadic or a_j.nomadic)
-                    else ConstraintKind.PAIRWISE
-                )
-                weight = confidence
-                if quality_weights is not None:
-                    quality = min(
-                        quality_weights.get(a_i.name, 1.0),
-                        quality_weights.get(a_j.name, 1.0),
-                    )
-                    if not 0.0 < quality <= 1.0:
-                        raise ValueError(
-                            f"quality weight for pair {a_i.name}/{a_j.name} "
-                            f"must be in (0, 1], got {quality}"
-                        )
-                    weight = weight * quality
-                out.append(
-                    WeightedConstraint(
-                        hs,
-                        weight,
-                        kind,
-                        label=f"{near.name}<{far.name}",
-                    )
-                )
-        sp.incr("rows", len(out))
-        return out
-
-
-@lru_cache(maxsize=128)
-def _pair_template(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle ``(i, j)`` index pairs in the scalar loop's order."""
-    ii, jj = np.triu_indices(n, k=1)
-    return ii, jj
-
-
 def pairwise_constraints_batch(
     queries: Sequence[Sequence[Anchor]],
     include_nomadic_pairs: bool = False,
@@ -288,27 +167,44 @@ def pairwise_constraints_batch(
 ) -> list[
     tuple[tuple[WeightedConstraint, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]
 ]:
-    """Bisector constraints for many queries' anchor pairs in array passes.
+    """Bisector constraints for every anchor pair of every query.
 
-    Stacks every anchor pair of every query and computes the skip masks
-    (both-nomadic, coincident positions), the PDP power ratios, and the
-    near/far orientation in vectorized passes; the transcendental
-    confidence function and the bisector construction stay scalar per row
-    / per distinct pair, because NumPy's SIMD ``pow`` is not bit-identical
-    to Python's ``**`` and the bisector normalization must reproduce
-    :func:`~repro.geometry.bisector_halfspace` exactly.
+    Per query, one row per anchor pair ``i < j`` in index order, oriented
+    by PDP (the larger PDP is the nearer anchor; ties go to the lower
+    index) and weighted by the proximity confidence
+    ``confidence_fn(min(P) / max(P))``.  Pairs are skipped when both
+    anchors are nomadic sites (unless ``include_nomadic_pairs``; the
+    paper's Eq. 13 compares nomadic sites against static APs only) or
+    when the anchors coincide.  Queries with fewer than two anchors get
+    no rows; the caller owns that error.
 
-    Returns, per query, ``(rows, (a, b, w))``: the same
-    :class:`WeightedConstraint` tuple the scalar
-    :func:`pairwise_constraints` builds (same halfspaces, weights, kinds,
-    labels, order) plus the stacked LP matrices over those rows, ready to
-    preseed :meth:`ConstraintSystem.matrices`.
+    Returns, per query, ``(rows, (a, b, w))``: the
+    :class:`WeightedConstraint` rows plus their stacked LP matrices,
+    ready to preseed :meth:`ConstraintSystem.matrices`.
 
-    ``bisector_cache`` keeps its semantics (same keys, same cached
-    values); the only observable difference is the *lookup count* — each
-    distinct anchor-position pair is consulted once per batch instead of
-    once per row, so cache hit/miss statistics differ while every stored
-    and returned halfspace stays bit-identical.
+    Parameters
+    ----------
+    normalize:
+        Scale each halfspace to a unit normal so LP slack variables are
+        measured in metres for every row; without this, rows from
+        far-apart anchor pairs get numerically larger coefficients and the
+        relaxation trades them off inconsistently.
+    confidence_fn:
+        Which Eq. 2-3-satisfying ``f`` weights the rows (the paper's
+        Eq. 4 by default; see :data:`repro.core.pdp.CONFIDENCE_FUNCTIONS`).
+    bisector_cache:
+        Optional mapping (``get``/``__setitem__``) memoizing the
+        normalized bisector halfspace by ``(near.x, near.y, far.x, far.y,
+        normalize)``.  Anchor geometries recur across serving queries
+        while the PDPs (and hence orientations/weights) change, so only
+        the geometric part is cached.  Each distinct pair is looked up
+        once per call, however many rows share it.
+    quality_weights:
+        Optional per-query mappings of per-anchor link-quality scores in
+        ``(0, 1]`` (see :mod:`repro.guard`).  A judgement is only as
+        trustworthy as its *weaker* measurement, so each row's weight is
+        scaled by ``min(q_i, q_j)``; anchors missing from a mapping score
+        1.0.  A score outside ``(0, 1]`` raises ``ValueError``.
     """
     nq = len(queries)
     qw_list: Sequence[Mapping[str, float] | None]
@@ -316,169 +212,78 @@ def pairwise_constraints_batch(
     if len(qw_list) != nq:
         raise ValueError("quality_weights length must match queries")
     with span("constraints.pairwise_batch", queries=nq) as sp:
-        # ---- stack every pair of every query -------------------------
-        xi_parts: list[np.ndarray] = []
-        yi_parts: list[np.ndarray] = []
-        xj_parts: list[np.ndarray] = []
-        yj_parts: list[np.ndarray] = []
-        pi_parts: list[np.ndarray] = []
-        pj_parts: list[np.ndarray] = []
-        nomi_parts: list[np.ndarray] = []
-        nomj_parts: list[np.ndarray] = []
-        pair_meta: list[tuple[int, int, int]] = []  # (query, i, j) per pair
-        for q, anchors in enumerate(queries):
-            n = len(anchors)
-            if n < 2:
-                continue  # caller-level validation owns the error message
-            px = np.array([a.position.x for a in anchors], dtype=float)
-            py = np.array([a.position.y for a in anchors], dtype=float)
-            pdp = np.array([a.pdp for a in anchors], dtype=float)
-            nom = np.array([a.nomadic for a in anchors], dtype=bool)
-            ii, jj = _pair_template(n)
-            xi_parts.append(px[ii])
-            yi_parts.append(py[ii])
-            xj_parts.append(px[jj])
-            yj_parts.append(py[jj])
-            pi_parts.append(pdp[ii])
-            pj_parts.append(pdp[jj])
-            nomi_parts.append(nom[ii])
-            nomj_parts.append(nom[jj])
-            pair_meta.extend(
-                (q, i, j) for i, j in zip(ii.tolist(), jj.tolist())
-            )
-        if not pair_meta:
-            return [((), (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))] * nq
-        xi = np.concatenate(xi_parts)
-        yi = np.concatenate(yi_parts)
-        xj = np.concatenate(xj_parts)
-        yj = np.concatenate(yj_parts)
-        p_i = np.concatenate(pi_parts)
-        p_j = np.concatenate(pj_parts)
-        nom_i = np.concatenate(nomi_parts)
-        nom_j = np.concatenate(nomj_parts)
-
-        # ---- skip masks (same predicates as the scalar loop) ---------
-        keep = ~(
-            (np.abs(xi - xj) <= EPS) & (np.abs(yi - yj) <= EPS)
-        )  # Point.almost_equals
-        if not include_nomadic_pairs:
-            keep &= ~(nom_i & nom_j)
-        kept = np.flatnonzero(keep)
-        if kept.size == 0:
-            return [((), (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))] * nq
-        xi, yi, xj, yj = xi[kept], yi[kept], xj[kept], yj[kept]
-        p_i, p_j = p_i[kept], p_j[kept]
-        nomadic_row = (nom_i | nom_j)[kept]
-        meta = [pair_meta[k] for k in kept.tolist()]
-
-        # ---- proximity confidence ------------------------------------
-        # min/max reproduce the scalar ``sorted((p_i, p_j))`` exactly;
-        # the confidence function runs per row on Python floats because
-        # its ``2.0 ** (-x)`` is not bit-identical to np.power.
-        ratio = np.minimum(p_i, p_j) / np.maximum(p_i, p_j)
-        confidence = [confidence_fn(r) for r in ratio.tolist()]
-        near_is_i = p_i >= p_j
-
-        # ---- distinct (near, far) pairs -> halfspaces ----------------
-        nx = np.where(near_is_i, xi, xj)
-        ny = np.where(near_is_i, yi, yj)
-        fx = np.where(near_is_i, xj, xi)
-        fy = np.where(near_is_i, yj, yi)
-        # First-seen dedupe: cheaper than a row-sorting ``np.unique`` at
-        # the small pair counts of one query (batch-of-1 serving).
-        first_index: dict[tuple[float, float, float, float], int] = {}
-        inverse_list = [
-            first_index.setdefault(pair, len(first_index))
-            for pair in zip(nx.tolist(), ny.tolist(), fx.tolist(), fy.tolist())
-        ]
-        inverse = np.array(inverse_list, dtype=np.intp)
-        halfspaces: list[HalfSpace] = []
-        for dnx, dny, dfx, dfy in first_index:
-            hs = None
-            if bisector_cache is not None:
-                cache_key = (dnx, dny, dfx, dfy, normalize)
-                hs = bisector_cache.get(cache_key)
-            if hs is None:
-                hs = bisector_halfspace(Point(dnx, dny), Point(dfx, dfy))
-                if normalize:
-                    hs = hs.normalized()
-                if bisector_cache is not None:
-                    bisector_cache[cache_key] = hs
-            halfspaces.append(hs)
-        hs_ax = np.array([h.ax for h in halfspaces])
-        hs_ay = np.array([h.ay for h in halfspaces])
-        hs_b = np.array([h.b for h in halfspaces])
-        row_ax = hs_ax[inverse]
-        row_ay = hs_ay[inverse]
-        row_b = hs_b[inverse]
-
-        # ---- weights (quality gating stays scalar for error parity) --
-        weights: list[float] = confidence
-        needs_quality = any(qw is not None for qw in qw_list)
-        if needs_quality:
-            weights = []
-            for conf, (q, i, j) in zip(confidence, meta):
-                qw = qw_list[q]
-                if qw is None:
-                    weights.append(conf)
-                    continue
-                anchors = queries[q]
-                name_i = anchors[i].name
-                name_j = anchors[j].name
-                quality = min(qw.get(name_i, 1.0), qw.get(name_j, 1.0))
-                if not 0.0 < quality <= 1.0:
-                    raise ValueError(
-                        f"quality weight for pair {name_i}/{name_j} "
-                        f"must be in (0, 1], got {quality}"
-                    )
-                weights.append(conf * quality)
-
-        # ---- materialize rows + per-query matrices -------------------
-        rows: list[WeightedConstraint] = []
-        for (q, i, j), near_i, nomadic, hs_index, weight in zip(
-            meta,
-            near_is_i.tolist(),
-            nomadic_row.tolist(),
-            inverse_list,
-            weights,
-        ):
-            anchors = queries[q]
-            if near_i:
-                near_name, far_name = anchors[i].name, anchors[j].name
-            else:
-                near_name, far_name = anchors[j].name, anchors[i].name
-            rows.append(
-                WeightedConstraint(
-                    halfspaces[hs_index],
-                    weight,
-                    ConstraintKind.NOMADIC
-                    if nomadic
-                    else ConstraintKind.PAIRWISE,
-                    label=f"{near_name}<{far_name}",
-                )
-            )
-        w_arr = np.array(weights)
-        out: list[
-            tuple[
-                tuple[WeightedConstraint, ...],
-                tuple[np.ndarray, np.ndarray, np.ndarray],
+        # One halfspace per distinct (near, far) position pair per call,
+        # keyed like ``bisector_cache``.
+        halfspaces: dict[tuple, HalfSpace] = {}
+        out = []
+        total = 0
+        for anchors, qw in zip(queries, qw_list):
+            rows: list[WeightedConstraint] = []
+            # Flat row-major (ax, ay) pairs, b and w: one cheap array
+            # build each instead of one per row.
+            a_flat: list[float] = []
+            b_list: list[float] = []
+            w_list: list[float] = []
+            info = [
+                (a.position, a.position.x, a.position.y, a.pdp, a.nomadic, a.name)
+                for a in anchors
             ]
-        ] = []
-        start = 0
-        row_q = [q for q, _, _ in meta]
-        for q in range(nq):
-            end = start
-            while end < len(meta) and row_q[end] == q:
-                end += 1
-            a_q = np.column_stack((row_ax[start:end], row_ay[start:end]))
-            out.append(
-                (
-                    tuple(rows[start:end]),
-                    (a_q, row_b[start:end].copy(), w_arr[start:end].copy()),
-                )
+            for i, (pos_i, xi, yi, p_i, nom_i, name_i) in enumerate(info):
+                for pos_j, xj, yj, p_j, nom_j, name_j in info[i + 1 :]:
+                    if nom_i and nom_j and not include_nomadic_pairs:
+                        continue
+                    if abs(xi - xj) <= EPS and abs(yi - yj) <= EPS:
+                        continue  # coincident anchors give no information
+                    if p_i >= p_j:
+                        near, far = pos_i, pos_j
+                        key = (xi, yi, xj, yj, normalize)
+                        ratio = p_j / p_i
+                        label = f"{name_i}<{name_j}"
+                    else:
+                        near, far = pos_j, pos_i
+                        key = (xj, yj, xi, yi, normalize)
+                        ratio = p_i / p_j
+                        label = f"{name_j}<{name_i}"
+                    hs = halfspaces.get(key)
+                    if hs is None:
+                        if bisector_cache is not None:
+                            hs = bisector_cache.get(key)
+                        if hs is None:
+                            hs = bisector_halfspace(near, far)
+                            if normalize:
+                                hs = hs.normalized()
+                            if bisector_cache is not None:
+                                bisector_cache[key] = hs
+                        halfspaces[key] = hs
+                    # float(): the confidence function's ``**`` must run
+                    # on Python floats, not NumPy scalars.
+                    weight = confidence_fn(float(ratio))
+                    if qw is not None:
+                        quality = min(qw.get(name_i, 1.0), qw.get(name_j, 1.0))
+                        if not 0.0 < quality <= 1.0:
+                            raise ValueError(
+                                f"quality weight for pair {name_i}/{name_j} "
+                                f"must be in (0, 1], got {quality}"
+                            )
+                        weight = weight * quality
+                    kind = (
+                        ConstraintKind.NOMADIC
+                        if nom_i or nom_j
+                        else ConstraintKind.PAIRWISE
+                    )
+                    rows.append(WeightedConstraint(hs, weight, kind, label))
+                    a_flat.append(hs.ax)
+                    a_flat.append(hs.ay)
+                    b_list.append(hs.b)
+                    w_list.append(weight)
+            mats = (
+                np.array(a_flat, dtype=float).reshape(-1, 2),
+                np.array(b_list, dtype=float),
+                np.array(w_list, dtype=float),
             )
-            start = end
-        sp.incr("rows", len(rows))
+            out.append((tuple(rows), mats))
+            total += len(rows)
+        sp.incr("rows", total)
         return out
 
 

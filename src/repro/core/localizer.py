@@ -11,6 +11,9 @@ Pipeline per location query:
    its centre; pieces with (near-)co-optimal relaxation cost are merged
    by area-weighted centroid, following the paper's "merge the areas with
    feasible solutions".
+
+There is one implementation of this pipeline, :meth:`NomLocLocalizer.locate_batch`,
+which stacks many queries; :meth:`NomLocLocalizer.locate` is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,30 +29,19 @@ from ..geometry import (
     Polygon,
     decompose_convex,
     distance_point_to_segment,
-    intersect_halfspaces_batch,
 )
+from ..geometry.halfspace import _intersect_rows
 from ..obs import span
-from .center import (
-    CenterMethod,
-    feasible_polygon,
-    region_center,
-    region_centers_batch,
-)
+from .center import CenterMethod, region_centers_batch
 from .constraints import (
     BOUNDARY_WEIGHT,
     Anchor,
     ConstraintSystem,
     WeightedConstraint,
     boundary_constraints,
-    pairwise_constraints,
     pairwise_constraints_batch,
 )
-from .relaxation import (
-    _SLACK_TOL,
-    RelaxationResult,
-    solve_relaxation,
-    solve_relaxation_batch,
-)
+from .relaxation import _SLACK_TOL, RelaxationResult, solve_relaxation_batch
 
 __all__ = [
     "LocalizerConfig",
@@ -57,6 +49,11 @@ __all__ = [
     "LocationEstimate",
     "NomLocLocalizer",
 ]
+
+#: Inflation (metres; rows are unit-normalized) of the second and fourth
+#: region candidates, which recovers a thin but centreable region when
+#: the un-inflated rows only pin a line or a point.
+_REGION_EPSILON_M = 0.05
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,13 @@ class PieceSolution:
 class _LazyPieceSolution(PieceSolution):
     """A piece solution whose geometry is computed on first access.
 
-    The batched locate path only ever *uses* the region/centre of the
+    The locate pipeline only ever *uses* the region/centre of the
     co-optimal winner pieces (``estimate_from_solutions`` reads losing
     pieces' cost alone), so losing pieces skip the polygon clip and
     centring entirely.  Diagnostics stay available: ``region``/``center``
-    are data descriptors that materialize through the localizer's scalar
-    geometry path on first read — the identical code the eager path runs,
-    so the values are bit-identical, just late.
+    are data descriptors that materialize on first read through the same
+    per-lane geometry the winners ran, so the values are identical, just
+    late.
 
     Pickling materializes into a plain eager :class:`PieceSolution`
     (process pools ship solutions across workers; a thunk would not
@@ -165,10 +162,7 @@ class _LazyPieceSolution(PieceSolution):
     def _materialized(self) -> tuple[Polygon | None, Point]:
         geometry = self._geometry
         if geometry is None:
-            eager = self._localizer._solution_from_relaxation(
-                self.piece_index, self.relaxation
-            )
-            geometry = (eager.region, eager.center)
+            [geometry] = self._localizer._piece_geometry([self.relaxation])
             object.__setattr__(self, "_geometry", geometry)
         return geometry
 
@@ -291,39 +285,6 @@ class NomLocLocalizer:
     # Constraint assembly, factored so a serving layer can cache the
     # topology-dependent prefix and rebuild only the PDP-dependent rows.
     # ------------------------------------------------------------------
-    def build_shared_constraints(
-        self,
-        anchors: Sequence[Anchor],
-        bisector_cache=None,
-        quality_weights: Mapping[str, float] | None = None,
-    ) -> tuple[WeightedConstraint, ...]:
-        """The PDP-dependent pairwise/nomadic rows shared by every piece.
-
-        ``bisector_cache`` optionally memoizes the geometric bisectors by
-        anchor-position pair (see
-        :func:`~repro.core.constraints.pairwise_constraints`);
-        ``quality_weights`` optionally scales each row by the weaker
-        anchor's link-quality score (the guard layer's degradation-aware
-        hook — ``None`` keeps weights bit-identical to the ungated
-        path).
-        """
-        if len(anchors) < 2:
-            raise ValueError("need at least two anchors to partition space")
-        with span("constraints.build_shared", anchors=len(anchors)) as sp:
-            shared = pairwise_constraints(
-                anchors,
-                include_nomadic_pairs=self.config.include_nomadic_pairs,
-                confidence_fn=self.config.resolve_confidence_fn(),
-                bisector_cache=bisector_cache,
-                quality_weights=quality_weights,
-            )
-            if not shared:
-                raise ValueError(
-                    "no usable anchor pairs (all anchors coincident or filtered)"
-                )
-            sp.incr("rows", len(shared))
-            return tuple(shared)
-
     def piece_boundary_rows(self, index: int) -> tuple[WeightedConstraint, ...]:
         """The cached boundary rows of one convex piece."""
         rows = self._boundary_rows[index]
@@ -356,20 +317,18 @@ class NomLocLocalizer:
         self,
         index: int,
         shared: Sequence[WeightedConstraint],
-        shared_matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        shared_matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> ConstraintSystem:
         """Full LP stack of one piece: shared rows + cached boundary rows.
 
-        ``shared_matrices`` optionally carries the precomputed ``(A, b,
-        w)`` stack of the shared rows (the batched assembly already has
-        it); the assembled system's matrices cache is then preseeded by
-        concatenating it with the piece's cached boundary stack —
-        bit-identical to rebuilding from the row objects, without
-        iterating them again per piece per query.
+        ``shared_matrices`` is the ``(A, b, w)`` stack of the shared rows,
+        as :meth:`build_shared_constraints_batch` returns it; the
+        assembled system's matrices cache is preseeded by concatenating it
+        with the piece's cached boundary stack — identical to rebuilding
+        from the row objects, without iterating them again per piece per
+        query.
         """
         rows = tuple(shared) + self.piece_boundary_rows(index)
-        if shared_matrices is None:
-            return ConstraintSystem(rows)
         a_sh, b_sh, w_sh = shared_matrices
         a_bd, b_bd, w_bd = self._piece_boundary_matrices(index)
         return ConstraintSystem.with_matrices(
@@ -389,17 +348,13 @@ class NomLocLocalizer:
 
         Requires at least two anchors (one bisector); realistic use has
         four static APs plus the nomadic sites.  ``quality_weights``
-        optionally down-weights rows touching degraded links (see
-        :meth:`build_shared_constraints`).  This scalar path is the
-        bit-exactness reference :meth:`locate_batch` is held to.
+        optionally holds per-anchor link-quality scores in ``(0, 1]``
+        (the guard layer's hook, see :mod:`repro.guard`): each pairwise
+        row is scaled by the weaker anchor's score, so degraded links
+        argue more softly.  This is :meth:`locate_batch` on a batch of
+        one.
         """
-        shared = self.build_shared_constraints(
-            anchors, quality_weights=quality_weights
-        )
-        solutions = [
-            self.solve_piece(index, shared) for index in range(len(self.pieces))
-        ]
-        return self.estimate_from_solutions(solutions)
+        return self.locate_batch([anchors], [quality_weights])[0]
 
     def build_shared_constraints_batch(
         self,
@@ -412,22 +367,38 @@ class NomLocLocalizer:
             tuple[np.ndarray, np.ndarray, np.ndarray],
         ]
     ]:
-        """Shared pairwise rows for many queries via the stacked assembly.
+        """The PDP-dependent pairwise/nomadic rows shared by every piece.
 
-        Per query, the returned rows are bit-identical to
-        :meth:`build_shared_constraints`; the accompanying ``(A, b, w)``
-        arrays preseed the piece systems' matrices caches.  Queries are
-        validated in order, so the first offending query raises the same
-        error the scalar per-query loop would have raised first.
+        Returns, per query, the rows of
+        :func:`~repro.core.constraints.pairwise_constraints_batch` plus
+        their ``(A, b, w)`` arrays, which preseed the piece systems'
+        matrices caches.  ``bisector_cache`` optionally memoizes the
+        geometric bisectors by anchor-position pair.
+
+        Queries are validated in order: the first offending query raises
+        its own error (too few anchors, no usable anchor pair, or an
+        out-of-range quality weight), exactly as if each query were
+        assembled alone.
         """
         with span("constraints.build_batch", queries=len(queries)) as sp:
-            assembled = pairwise_constraints_batch(
-                queries,
-                include_nomadic_pairs=self.config.include_nomadic_pairs,
-                confidence_fn=self.config.resolve_confidence_fn(),
-                bisector_cache=bisector_cache,
-                quality_weights=quality_weights,
-            )
+            try:
+                assembled = pairwise_constraints_batch(
+                    queries,
+                    include_nomadic_pairs=self.config.include_nomadic_pairs,
+                    confidence_fn=self.config.resolve_confidence_fn(),
+                    bisector_cache=bisector_cache,
+                    quality_weights=quality_weights,
+                )
+            except ValueError:
+                # A bad quality weight anywhere in the stack raises during
+                # assembly; replay one query at a time so an earlier
+                # query's own error wins.
+                if quality_weights is not None and (
+                    len(quality_weights) == len(queries) > 1
+                ):
+                    for anchors, weights in zip(queries, quality_weights):
+                        self.build_shared_constraints_batch([anchors], [weights])
+                raise
             total = 0
             for anchors, (rows, _mats) in zip(queries, assembled):
                 if len(anchors) < 2:
@@ -451,27 +422,20 @@ class NomLocLocalizer:
     ) -> list[LocationEstimate]:
         """Estimate positions for many queries in stacked NumPy passes.
 
-        The whole non-LP pipeline is batched alongside the stacked
-        relaxation LPs: constraint assembly runs through
-        :meth:`build_shared_constraints_batch` (one array pass over every
+        Constraint assembly runs through
+        :meth:`build_shared_constraints_batch` (one pass over every
         anchor pair of every query), every ``(query, piece)`` LP solves
         through :func:`solve_relaxation_batch`, and region geometry runs
-        winner-only — pieces within ``cost_merge_tolerance`` of their
-        query's best cost clip/centre through
-        :func:`~repro.geometry.intersect_halfspaces_batch` and
-        :func:`~repro.core.center.region_centers_batch`, while losing
-        pieces get lazy solutions whose region/centre materialize only if
-        a diagnostic reads them.  Estimates are **bit-identical** to
-        calling :meth:`locate` per query in order.
+        winner-only: pieces within ``cost_merge_tolerance`` of their
+        query's best cost are clipped and centred, while losing pieces get
+        lazy solutions whose region/centre materialize only if a
+        diagnostic reads them.  Each estimate is identical to solving its
+        query alone (``locate``), whatever else shares the batch.
         """
         if not queries:
             return []
-        weights: Sequence[Mapping[str, float] | None]
-        weights = quality_weights or [None] * len(queries)
-        if len(weights) != len(queries):
-            raise ValueError("quality_weights length must match queries")
         shareds = self.build_shared_constraints_batch(
-            queries, quality_weights=weights, bisector_cache=bisector_cache
+            queries, quality_weights=quality_weights, bisector_cache=bisector_cache
         )
         indices = list(range(len(self.pieces)))
         with span(
@@ -481,9 +445,7 @@ class NomLocLocalizer:
             for shared, mats in shareds:
                 for index in indices:
                     systems.append(
-                        self.assemble_piece_system(
-                            index, shared, shared_matrices=mats
-                        )
+                        self.assemble_piece_system(index, shared, mats)
                     )
             sp.incr("rows", sum(len(s) for s in systems))
             relaxations = solve_relaxation_batch(systems)
@@ -546,18 +508,6 @@ class NomLocLocalizer:
         return best_edge.a + d * t
 
     # ------------------------------------------------------------------
-    def solve_piece(
-        self,
-        index: int,
-        shared: Sequence[WeightedConstraint],
-    ) -> PieceSolution:
-        """Solve one convex piece's relaxation LP and centre its region."""
-        with span("lp.solve", piece=index) as sp:
-            system = self.assemble_piece_system(index, shared)
-            sp.incr("rows", len(system))
-            relaxation = solve_relaxation(system)
-            return self._solution_from_relaxation(index, relaxation)
-
     def _winner_lazy_solutions(
         self,
         groups: Sequence[Sequence[tuple[int, RelaxationResult]]],
@@ -566,15 +516,12 @@ class NomLocLocalizer:
 
         ``groups`` holds one ``(piece_index, relaxation)`` list per query.
         Pieces within ``cost_merge_tolerance`` of their query's best cost
-        get eager regions/centres through one cross-query batched clip +
-        centring pass; the rest become :class:`_LazyPieceSolution`.  The
-        winner predicate is exactly the one
-        :meth:`estimate_from_solutions` applies, so every region/centre
-        that method reads is eager and bit-identical to the scalar path.
+        get eager regions/centres through :meth:`_piece_geometry`; the rest
+        become :class:`_LazyPieceSolution`.  The winner predicate is
+        exactly the one :meth:`estimate_from_solutions` applies, so every
+        region/centre that method reads is eager.
         """
-        with span(
-            "geometry.batch", queries=len(groups)
-        ) as sp:
+        with span("geometry.batch", queries=len(groups)) as sp:
             tol = self.config.cost_merge_tolerance
             solutions: list[list[PieceSolution | None]] = [
                 [None] * len(group) for group in groups
@@ -591,16 +538,12 @@ class NomLocLocalizer:
                         solutions[gi][si] = _LazyPieceSolution(
                             index, self.pieces[index], relaxation, self
                         )
-            regions = self._regions_batch(winner_relaxations)
-            centers = region_centers_batch(
-                regions,
-                [r.feasible_point for r in winner_relaxations],
-                self.config.center_method,
-            )
             sp.incr("winners", len(winner_slots))
             sp.incr("lazy", sum(len(g) for g in groups) - len(winner_slots))
-            for (gi, si), relaxation, region, center in zip(
-                winner_slots, winner_relaxations, regions, centers
+            for (gi, si), relaxation, (region, center) in zip(
+                winner_slots,
+                winner_relaxations,
+                self._piece_geometry(winner_relaxations),
             ):
                 index = groups[gi][si][0]
                 solutions[gi][si] = PieceSolution(
@@ -608,112 +551,48 @@ class NomLocLocalizer:
                 )
         return solutions  # type: ignore[return-value]  # every slot filled
 
-    def _regions_batch(
+    def _piece_geometry(
         self, relaxations: Sequence[RelaxationResult]
-    ) -> list[Polygon | None]:
-        """Batched candidate-round clipping, one lane per relaxation.
+    ) -> list[tuple[Polygon | None, Point]]:
+        """``(region, centre)`` per relaxation; centre LPs are stacked.
 
-        Replays :meth:`_solution_from_relaxation`'s candidate ladder —
-        satisfied rows, satisfied+ε, relaxed rows, relaxed+ε — directly on
-        each system's ``(A, b)`` arrays (no HalfSpace objects), clipping
-        all still-unresolved lanes per round through
-        :func:`~repro.geometry.intersect_halfspaces_batch`.  The array
-        arithmetic mirrors ``HalfSpace.relaxed`` exactly (``b + t``, then
-        ``+ ε`` as a second add), so regions are bit-identical to the
-        scalar rounds.
+        An empty region centres on the relaxation's feasible point.
         """
-        epsilon = 0.05  # metres (rows are unit-normalized)
-        n = len(relaxations)
-        regions: list[Polygon | None] = [None] * n
-        pending = list(range(n))
-        sat_systems: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
-
-        def lane_rows(li: int, round_idx: int) -> tuple[np.ndarray, np.ndarray]:
-            relaxation = relaxations[li]
-            if round_idx < 2:
-                cached = sat_systems[li]
-                if cached is None:
-                    a, b, _w = relaxation.system.matrices()
-                    mask = relaxation.slacks <= _SLACK_TOL
-                    cached = (a[mask], b[mask])
-                    sat_systems[li] = cached
-                a_r, b_r = cached
-            else:
-                a_r, b_r, _w = relaxation.system.matrices()
-                b_r = b_r + relaxation.slacks
-            if round_idx % 2 == 1:
-                b_r = b_r + epsilon
-            return a_r, b_r
-
-        for round_idx in range(4):
-            if not pending:
-                break
-            clipped = intersect_halfspaces_batch(
-                [lane_rows(li, round_idx) for li in pending], self._bound
-            )
-            still = []
-            for li, region in zip(pending, clipped):
-                if region is not None:
-                    regions[li] = region
-                else:
-                    still.append(li)
-            pending = still
-        return regions
-
-    def _solution_from_relaxation(
-        self, index: int, relaxation: RelaxationResult
-    ) -> PieceSolution:
-        """Geometry half of a piece solve: centre the relaxed region.
-
-        Shared by the scalar and batched paths so both produce identical
-        :class:`PieceSolution` objects from identical relaxations.
-        """
-        piece = self.pieces[index]
-        # Centre over the rows the relaxation kept: the minimally
-        # relaxed full stack is typically degenerate (conflicting rows
-        # just touch), while the satisfied sub-system usually has
-        # proper interior.  If even the satisfied rows are degenerate
-        # (e.g. opposing ties pin a line), inflate them slightly to
-        # recover a thin but centreable region rather than falling
-        # back to an arbitrary LP vertex.
-        epsilon = 0.05  # metres (rows are unit-normalized)
-
-        def candidate_sets():
-            # Lazy: the satisfied set usually clips to a proper region on
-            # the first try, so the relaxed/inflated variants (and their
-            # HalfSpace constructions) are typically never built.
-            satisfied = relaxation.satisfied_halfspaces()
-            yield satisfied
-            yield [h.relaxed(epsilon) for h in satisfied]
-            relaxed = relaxation.relaxed_halfspaces()
-            yield relaxed
-            yield [h.relaxed(epsilon) for h in relaxed]
-
-        halfspaces = None
-        region = None
-        for candidate in candidate_sets():
-            if halfspaces is None:
-                halfspaces = candidate  # default if every clip fails
-            region = feasible_polygon(candidate, self._bound)
-            if region is not None:
-                halfspaces = candidate
-                break
-        center = region_center(
-            halfspaces,
-            self._bound,
+        regions = [self._region(r) for r in relaxations]
+        centers = region_centers_batch(
+            regions,
+            [r.feasible_point for r in relaxations],
             self.config.center_method,
-            fallback=relaxation.feasible_point,
-            region=region,
         )
-        if center is None:
-            # The LP relaxation's feasible point doubles as the center
-            # fallback, so this is unreachable for any solvable piece —
-            # raise (not assert) so the guard survives ``python -O``.
-            raise RuntimeError(
-                f"no center estimate for piece {index}: region_center "
-                "returned None despite the relaxation fallback"
+        return list(zip(regions, centers))
+
+    def _region(self, relaxation: RelaxationResult) -> Polygon | None:
+        """The region to centre: the first candidate row set that clips.
+
+        The minimally relaxed full stack is typically degenerate
+        (conflicting rows just touch), while the rows the relaxation kept
+        usually have proper interior.  So the candidates are, in order:
+        the satisfied rows, the satisfied rows inflated by
+        :data:`_REGION_EPSILON_M` (opposing ties can pin a line), the
+        relaxed rows (``b + t``), and the relaxed rows inflated.  ``None``
+        when every candidate is empty or degenerate.
+        """
+        a, b, _w = relaxation.system.matrices()
+        kept = relaxation.slacks <= _SLACK_TOL
+        a_sat, b_sat = a[kept], b[kept]
+        region = _intersect_rows(a_sat, b_sat, self._bound)
+        if region is None:
+            region = _intersect_rows(
+                a_sat, b_sat + _REGION_EPSILON_M, self._bound
             )
-        return PieceSolution(index, piece, relaxation, region, center)
+        if region is None:
+            relaxed = b + relaxation.slacks
+            region = _intersect_rows(a, relaxed, self._bound)
+            if region is None:
+                region = _intersect_rows(
+                    a, relaxed + _REGION_EPSILON_M, self._bound
+                )
+        return region
 
 
 def _merge_centers(winners: Sequence[PieceSolution]) -> Point:

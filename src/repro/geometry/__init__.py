@@ -10,7 +10,6 @@ from .convex import convex_hull, decompose_convex, triangulate
 from .halfspace import (
     HalfSpace,
     bisector_halfspace,
-    clip_polygon,
     halfspaces_to_matrix,
     intersect_halfspaces,
     intersect_halfspaces_batch,
@@ -45,7 +44,6 @@ __all__ = [
     "triangulate",
     "decompose_convex",
     "bisector_halfspace",
-    "clip_polygon",
     "intersect_halfspaces",
     "intersect_halfspaces_batch",
     "halfspaces_to_matrix",

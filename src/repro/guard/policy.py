@@ -6,7 +6,7 @@ The guard layer's decision rule (the "policy") is deliberately simple:
   they would have generated is dropped before the relaxation LP;
 * ``DEGRADED`` links keep their anchor, but every pairwise row touching
   them has its confidence weight scaled by the link's quality score
-  (see :func:`~repro.core.constraints.pairwise_constraints`) — a noisy
+  (see :func:`~repro.core.constraints.pairwise_constraints_batch`) — a noisy
   witness still testifies, just more quietly;
 * ``OK`` links pass through untouched: with nothing degraded the gated
   pipeline is bit-identical to the ungated one.

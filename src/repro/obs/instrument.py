@@ -4,8 +4,8 @@ Pipeline code imports exactly two functions from here::
 
     from ..obs import span, add_counter
 
-    def solve_piece(...):
-        with span("lp.solve", piece=index):
+    def locate_batch(...):
+        with span("lp.solve_batch", queries=len(queries)):
             ...
 
     # deep inside the simplex:

@@ -1,7 +1,7 @@
 """Lightweight span tracing for the NomLoc pipeline.
 
 A *span* is one timed stage of a localization query — ``csi.synthesize``,
-``lp.solve``, ``serve.query`` — with monotonic start/duration, arbitrary
+``lp.solve_batch``, ``serve.query`` — with monotonic start/duration, arbitrary
 attributes, and accumulating counters (e.g. simplex pivots).  Spans nest:
 each thread keeps its own active-span stack, so the tracer is safe when
 solves run on executor threads (the gateway's solver bridge) without any
@@ -37,7 +37,7 @@ class Span:
 
     Spans are context managers::
 
-        with tracer.start("lp.solve", piece=3) as sp:
+        with tracer.start("lp.solve_batch", queries=3) as sp:
             ...
             sp.incr("simplex.pivots", result.iterations)
 

@@ -87,7 +87,7 @@ def simplex_standard_form(
         tableau, basis, n, max_iterations - iters1, allowed_cols=n
     )
     iterations = iters1 + iters2
-    # Volume counter for the enclosing obs span (lp.solve): pivots are the
+    # Volume counter for the enclosing obs span (lp.solve_batch): pivots are the
     # simplex's unit of work, the per-stage analogue of queries served.
     add_counter("simplex.pivots", iterations)
     if status is not LPStatus.OPTIMAL:

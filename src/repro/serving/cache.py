@@ -140,7 +140,7 @@ class BisectorCache(_LRUCore):
 
     Exposes the two-method mapping protocol
     (:meth:`get` / ``__setitem__``) that
-    :func:`repro.core.constraints.pairwise_constraints` consumes via its
+    :func:`repro.core.constraints.pairwise_constraints_batch` consumes via its
     ``bisector_cache`` parameter.
     """
 

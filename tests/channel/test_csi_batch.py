@@ -1,4 +1,4 @@
-"""Vectorized ``synthesize_batch`` vs the scalar reference path.
+"""Vectorized ``synthesize_batch`` vs the scalar per-packet oracle.
 
 The fast path's contract is *bit-exactness*: same RNG draw order, same
 floats, for every synthesizer configuration — fading on/off, noise
@@ -16,6 +16,7 @@ from repro.channel import (
     PathKind,
 )
 from repro.channel.csi import _intel5300_subsampling
+from tests.oracles.csi import synthesize_batch_scalar
 
 
 def _paths(count: int = 4, blocked_direct: bool = False):
@@ -57,8 +58,8 @@ class TestSynthesizeBatchBitExactness:
         paths = _paths()
         rng_scalar = np.random.default_rng(1234)
         rng_vector = np.random.default_rng(1234)
-        scalar = synth.synthesize_batch_scalar(
-            paths, 17, rng_scalar, with_fading=with_fading
+        scalar = synthesize_batch_scalar(
+            synth, paths, 17, rng_scalar, with_fading=with_fading
         )
         vector = synth.synthesize_batch(
             paths, 17, rng_vector, with_fading=with_fading
@@ -74,8 +75,8 @@ class TestSynthesizeBatchBitExactness:
     def test_blocked_direct_path(self):
         synth = CSISynthesizer()
         paths = _paths(blocked_direct=True)
-        scalar = synth.synthesize_batch_scalar(
-            paths, 9, np.random.default_rng(7)
+        scalar = synthesize_batch_scalar(
+            synth, paths, 9, np.random.default_rng(7)
         )
         vector = synth.synthesize_batch(paths, 9, np.random.default_rng(7))
         for s, v in zip(scalar, vector):

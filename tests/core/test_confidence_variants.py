@@ -11,7 +11,7 @@ from repro.core import (
     NomLocLocalizer,
     confidence_factor_power,
     confidence_factor_rational,
-    pairwise_constraints,
+    pairwise_constraints_batch,
 )
 from repro.geometry import Point, Polygon
 
@@ -76,10 +76,12 @@ class TestConfigIntegration:
             Anchor("A", Point(0, 0), 4.0),
             Anchor("B", Point(10, 0), 1.0),
         ]
-        w_paper = pairwise_constraints(anchors)[0].weight
-        w_rational = pairwise_constraints(
-            anchors, confidence_fn=confidence_factor_rational
-        )[0].weight
+        [(paper_rows, _)] = pairwise_constraints_batch([anchors])
+        [(rational_rows, _)] = pairwise_constraints_batch(
+            [anchors], confidence_fn=confidence_factor_rational
+        )
+        w_paper = paper_rows[0].weight
+        w_rational = rational_rows[0].weight
         assert w_paper != w_rational
 
     def test_localizer_runs_with_each_function(self):

@@ -10,10 +10,18 @@ from repro.core import (
     ConstraintSystem,
     WeightedConstraint,
     boundary_constraints,
-    pairwise_constraints,
     pairwise_constraints_batch,
 )
 from repro.geometry import HalfSpace, Point, Polygon
+from tests.oracles.localizer import pairwise_constraints as scalar_pairwise
+
+
+def pairwise_rows(anchors, quality_weights=None, **kwargs):
+    """One query through the production builder, as a list of rows."""
+    [(rows, _mats)] = pairwise_constraints_batch(
+        [anchors], quality_weights=[quality_weights], **kwargs
+    )
+    return list(rows)
 
 
 def anchors_square(pdps, nomadic=(False, False, False, False)):
@@ -39,13 +47,13 @@ class TestWeightedConstraint:
 
 class TestPairwiseConstraints:
     def test_full_pairwise_count(self):
-        cs = pairwise_constraints(anchors_square([4, 3, 2, 1]))
+        cs = pairwise_rows(anchors_square([4, 3, 2, 1]))
         assert len(cs) == 6  # C(4,2), the paper's N = n(n-1)/2
 
     def test_orientation_follows_pdp(self):
         """The anchor with larger PDP is on the feasible side."""
         anchors = anchors_square([10.0, 1.0, 1.0, 1.0])
-        cs = pairwise_constraints(anchors)
+        cs = pairwise_rows(anchors)
         # Points near A0 (the strong anchor) must satisfy all constraints
         # involving A0.
         near_a0 = Point(1, 1)
@@ -56,7 +64,7 @@ class TestPairwiseConstraints:
 
     def test_confidence_weights(self):
         anchors = anchors_square([8.0, 8.0, 1.0, 1.0])
-        cs = pairwise_constraints(anchors)
+        cs = pairwise_rows(anchors)
         by_label = {c.label: c for c in cs}
         # Equal PDPs -> coin-flip weight 1/2.
         assert by_label["A0<A1"].weight == pytest.approx(0.5)
@@ -65,19 +73,19 @@ class TestPairwiseConstraints:
 
     def test_nomadic_pairs_skipped_when_disabled(self):
         anchors = anchors_square([4, 3, 2, 1], nomadic=(True, True, False, False))
-        cs = pairwise_constraints(anchors, include_nomadic_pairs=False)
+        cs = pairwise_rows(anchors, include_nomadic_pairs=False)
         assert len(cs) == 5  # 6 minus the A0-A1 nomadic pair
         labels = {c.label for c in cs}
         assert not any("A0" in l and "A1" in l for l in labels)
 
     def test_nomadic_pairs_included_by_flag(self):
         anchors = anchors_square([4, 3, 2, 1], nomadic=(True, True, False, False))
-        cs = pairwise_constraints(anchors, include_nomadic_pairs=True)
+        cs = pairwise_rows(anchors, include_nomadic_pairs=True)
         assert len(cs) == 6
 
     def test_nomadic_involvement_tags_kind(self):
         anchors = anchors_square([4, 3, 2, 1], nomadic=(True, False, False, False))
-        cs = pairwise_constraints(anchors)
+        cs = pairwise_rows(anchors)
         kinds = {c.label: c.kind for c in cs}
         assert kinds["A0<A1"] is ConstraintKind.NOMADIC
         assert kinds["A1<A2"] is ConstraintKind.PAIRWISE
@@ -93,21 +101,21 @@ class TestPairwiseConstraints:
             Anchor(f"AP1@s{i}", Point(2.0 + i, 5.0), 5.0 + i, nomadic=True)
             for i in range(4)
         ]
-        cs = pairwise_constraints(statics + sites, include_nomadic_pairs=False)
+        cs = pairwise_rows(statics + sites, include_nomadic_pairs=False)
         assert len(cs) == 3 + 4 * 3
 
     def test_coincident_anchors_skipped(self):
         a = [Anchor("A", Point(1, 1), 2.0), Anchor("B", Point(1, 1), 3.0)]
-        assert pairwise_constraints(a) == []
+        assert pairwise_rows(a) == []
 
     def test_normalization(self):
         anchors = anchors_square([4, 3, 2, 1])
-        for c in pairwise_constraints(anchors, normalize=True):
+        for c in pairwise_rows(anchors, normalize=True):
             assert np.hypot(c.halfspace.ax, c.halfspace.ay) == pytest.approx(1.0)
 
     def test_unnormalized_matches_eq7(self):
         near, far = Point(0, 0), Point(10, 0)
-        cs = pairwise_constraints(
+        cs = pairwise_rows(
             [Anchor("N", near, 5.0), Anchor("F", far, 1.0)], normalize=False
         )
         hs = cs[0].halfspace
@@ -147,7 +155,7 @@ class TestBoundaryConstraints:
 class TestConstraintSystem:
     def test_matrices_shape_and_order(self):
         anchors = anchors_square([4, 3, 2, 1])
-        rows = pairwise_constraints(anchors)
+        rows = pairwise_rows(anchors)
         system = ConstraintSystem(tuple(rows))
         a, b, w = system.matrices()
         assert a.shape == (6, 2)
@@ -160,7 +168,7 @@ class TestConstraintSystem:
 
     def test_of_kind_and_extended(self):
         area = Polygon.rectangle(0, 0, 10, 10)
-        pw = pairwise_constraints(anchors_square([4, 3, 2, 1]))
+        pw = pairwise_rows(anchors_square([4, 3, 2, 1]))
         system = ConstraintSystem(tuple(pw)).extended(boundary_constraints(area))
         assert len(system) == 10
         assert len(system.of_kind(ConstraintKind.BOUNDARY)) == 4
@@ -168,7 +176,7 @@ class TestConstraintSystem:
 
 
 class TestPairwiseConstraintsBatch:
-    """The batched builder must replay the scalar builder bit for bit."""
+    """The batched builder must replay the scalar oracle bit for bit."""
 
     def _queries(self, nq=6, seed=11):
         rng = np.random.default_rng(seed)
@@ -204,7 +212,7 @@ class TestPairwiseConstraintsBatch:
         queries = self._queries()
         batched = pairwise_constraints_batch(queries)
         for anchors, (rows, _) in zip(queries, batched):
-            self.assert_rows_identical(pairwise_constraints(anchors), rows)
+            self.assert_rows_identical(scalar_pairwise(anchors), rows)
 
     def test_matrices_match_listcomp_build(self):
         queries = self._queries(seed=12)
@@ -224,7 +232,7 @@ class TestPairwiseConstraintsBatch:
                 )
                 for anchors, (rows, _) in zip(queries, batched):
                     self.assert_rows_identical(
-                        pairwise_constraints(
+                        scalar_pairwise(
                             anchors,
                             include_nomadic_pairs=include,
                             normalize=norm,
@@ -240,7 +248,7 @@ class TestPairwiseConstraintsBatch:
         batched = pairwise_constraints_batch(queries, quality_weights=weights)
         for anchors, qw, (rows, _) in zip(queries, weights, batched):
             self.assert_rows_identical(
-                pairwise_constraints(anchors, quality_weights=qw), rows
+                scalar_pairwise(anchors, quality_weights=qw), rows
             )
         bad = [dict(w) for w in weights]
         bad[1][queries[1][0].name] = 0.0
@@ -251,16 +259,17 @@ class TestPairwiseConstraintsBatch:
         from repro.serving.cache import BisectorCache
 
         queries = self._queries(seed=15)
-        scalar_cache = BisectorCache()
         batch_cache = BisectorCache()
-        for anchors in queries:
-            pairwise_constraints(anchors, bisector_cache=scalar_cache)
         batched = pairwise_constraints_batch(queries, bisector_cache=batch_cache)
         for anchors, (rows, _) in zip(queries, batched):
-            self.assert_rows_identical(
-                pairwise_constraints(anchors, bisector_cache=scalar_cache),
-                rows,
-            )
+            self.assert_rows_identical(scalar_pairwise(anchors), rows)
+        # One lookup per distinct (near, far) pair, however many rows.
+        distinct = {
+            (r.halfspace.ax, r.halfspace.ay, r.halfspace.b)
+            for rows, _ in batched
+            for r in rows
+        }
+        assert batch_cache.stats().misses == len(distinct)
         # Second batched pass hits the warm cache and still matches.
         rebatched = pairwise_constraints_batch(queries, bisector_cache=batch_cache)
         for (rows, _), (rows2, _) in zip(batched, rebatched):
@@ -276,7 +285,7 @@ class TestPairwiseConstraintsBatch:
         short = (Anchor("S0", Point(1, 1), 1.0),)
         batched = pairwise_constraints_batch([coincident, short, ()])
         rows, (a, b, w) = batched[0]
-        self.assert_rows_identical(pairwise_constraints(coincident), rows)
+        self.assert_rows_identical(scalar_pairwise(coincident), rows)
         assert a.shape == (len(rows), 2)
         for rows, (a, b, w) in batched[1:]:
             assert rows == ()
@@ -285,7 +294,7 @@ class TestPairwiseConstraintsBatch:
 
 class TestConstraintSystemMatricesCache:
     def test_matrices_memoized(self):
-        rows = pairwise_constraints(anchors_square([4, 3, 2, 1]))
+        rows = pairwise_rows(anchors_square([4, 3, 2, 1]))
         system = ConstraintSystem(tuple(rows))
         first = system.matrices()
         second = system.matrices()
@@ -293,7 +302,7 @@ class TestConstraintSystemMatricesCache:
         assert first[1] is second[1]
 
     def test_with_matrices_preseed_bitwise(self):
-        rows = tuple(pairwise_constraints(anchors_square([4, 3, 2, 1])))
+        rows = tuple(pairwise_rows(anchors_square([4, 3, 2, 1])))
         reference = ConstraintSystem(rows)
         a, b, w = reference.matrices()
         preseeded = ConstraintSystem.with_matrices(

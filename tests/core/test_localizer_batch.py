@@ -2,10 +2,11 @@
 
 ``locate_batch`` only clips/centres the co-optimal winner pieces; losing
 pieces get :class:`_LazyPieceSolution` stand-ins whose geometry
-materializes through the scalar path on first access.  These tests pin
-the laziness itself (losers really do skip the geometry), the
-materialized values (bit-identical to the eager path), and the pickle
-escape hatch (process pools must receive plain eager solutions).
+materializes on first access.  These tests pin the laziness itself
+(losers really do skip the geometry), the materialized values
+(bit-identical to the scalar oracle's eager pieces), the pickle escape
+hatch (process pools must receive plain eager solutions), and the
+query-order validation of a batch.
 """
 
 import pickle
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Anchor,
     LocalizerConfig,
     NomLocLocalizer,
     NomLocSystem,
@@ -24,6 +26,8 @@ from repro.core import (
 from repro.core.center import CenterMethod
 from repro.core.localizer import PieceSolution, _LazyPieceSolution
 from repro.environment import SCENARIOS, get_scenario
+from repro.geometry import Point
+from tests.oracles import localizer as oracle
 
 
 def gather_queries(name, count, seed=23, packets=6):
@@ -74,9 +78,9 @@ class TestWinnerOnlyLaziness:
         localizer = NomLocLocalizer(scenario.plan.boundary)
         estimates = localizer.locate_batch(queries)
         for anchors, est in zip(queries, estimates):
-            shared = localizer.build_shared_constraints(anchors)
+            shared = oracle.build_shared_constraints(localizer, anchors)
             for sol in est.pieces:
-                ref = localizer.solve_piece(sol.piece_index, shared)
+                ref = oracle.solve_piece(localizer, sol.piece_index, shared)
                 # First access triggers materialization for lazy losers.
                 assert sol.center == ref.center
                 if ref.region is None:
@@ -109,7 +113,7 @@ class TestWinnerOnlyLaziness:
 
 
 class TestLazyVsEagerEstimates:
-    """locate_batch must be bit-identical to locate, per query, always."""
+    """locate_batch must be bit-identical to the scalar oracle, always."""
 
     @given(
         name=st.sampled_from(sorted(SCENARIOS)),
@@ -124,7 +128,7 @@ class TestLazyVsEagerEstimates:
         )
         batched = localizer.locate_batch(queries)
         for anchors, est in zip(queries, batched):
-            scalar = localizer.locate(anchors)
+            scalar = oracle.locate(localizer, anchors)
             assert scalar.position == est.position
             assert scalar.relaxation_cost == est.relaxation_cost
             assert scalar.num_constraints == est.num_constraints
@@ -145,3 +149,22 @@ class TestLazyVsEagerEstimates:
         localizer = NomLocLocalizer(scenario.plan.boundary)
         with pytest.raises(ValueError, match="length must match"):
             localizer.locate_batch(queries, quality_weights=[None])
+
+
+class TestQueryOrderValidation:
+    """The first offending query raises its own error, whatever follows."""
+
+    def test_first_offending_query_wins(self):
+        scenario, [q] = gather_queries("lab", 1)
+        localizer = NomLocLocalizer(scenario.plan.boundary)
+        bad = {a.name: 2.0 for a in q}
+        here = Point(3.0, 3.0)
+        coincident = tuple(Anchor(a.name, here, a.pdp) for a in q[:3])
+        for queries, weights, match in [
+            ([q[:1], q], [None, bad], "at least two anchors"),
+            ([coincident, q], [None, bad], "no usable anchor pairs"),
+            ([q, q[:1]], [bad, None], "must be in \\(0, 1\\]"),
+            ([coincident], None, "no usable anchor pairs"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                localizer.locate_batch(queries, weights)

@@ -11,7 +11,7 @@ from repro.core import (
     ConstraintSystem,
     WeightedConstraint,
     boundary_constraints,
-    pairwise_constraints,
+    pairwise_constraints_batch,
     solve_relaxation,
 )
 from repro.geometry import HalfSpace, Point, Polygon
@@ -104,8 +104,8 @@ class TestInfeasibleCase:
         """A rogue high-PDP judgement cannot push z outside the boundary."""
         area = Polygon.rectangle(0, 0, 10, 10)
         # Wrong judgement: "closer to (50, 5) than (5, 5)" — outside pull.
-        rogue = pairwise_constraints(
-            [Anchor("far", Point(50, 5), 9.0), Anchor("near", Point(5, 5), 1.0)]
+        [(rogue, _)] = pairwise_constraints_batch(
+            [[Anchor("far", Point(50, 5), 9.0), Anchor("near", Point(5, 5), 1.0)]]
         )
         system = ConstraintSystem(
             tuple(rogue) + tuple(boundary_constraints(area))

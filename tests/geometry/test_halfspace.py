@@ -10,10 +10,10 @@ from repro.geometry import (
     Point,
     Polygon,
     bisector_halfspace,
-    clip_polygon,
     halfspaces_to_matrix,
     intersect_halfspaces,
 )
+from tests.oracles.geometry import clip_polygon
 
 coords = st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)

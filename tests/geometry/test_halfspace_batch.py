@@ -1,20 +1,16 @@
-"""Bit-exactness tests for the lockstep halfspace-clipping kernel.
+"""Bit-exactness tests for the batched halfspace clipper.
 
-``intersect_halfspaces_batch`` promises polygons bit-identical to the
-scalar :func:`~repro.geometry.intersect_halfspaces` per lane, so every
-comparison here is exact (``==`` on vertex floats), never ``approx``.
+``intersect_halfspaces_batch`` promises, per lane, the polygon the scalar
+oracle (:func:`tests.oracles.geometry.clip_halfspaces`: ``clip_polygon`` chained
+over :class:`HalfSpace` objects) produces, so every comparison here is
+exact (``==`` on vertex floats), never ``approx``.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    HalfSpace,
-    Polygon,
-    intersect_halfspaces,
-    intersect_halfspaces_batch,
-)
-from repro.geometry.halfspace import _SCALAR_LANES
+from repro.geometry import HalfSpace, Polygon, intersect_halfspaces_batch
+from tests.oracles.geometry import clip_halfspaces
 
 BOUND = Polygon.rectangle(0.0, 0.0, 20.0, 14.0)
 
@@ -44,20 +40,20 @@ class TestIntersectHalfspacesBatch:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_lanes_match_scalar(self, seed):
         rng = np.random.default_rng(seed)
-        lanes = [random_lane(rng) for _ in range(2 * _SCALAR_LANES)]
+        lanes = [random_lane(rng) for _ in range(24)]
         batched = intersect_halfspaces_batch(lanes, BOUND)
         for (a, b), poly in zip(lanes, batched):
-            scalar = intersect_halfspaces(rows_to_halfspaces(a, b), BOUND)
+            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
             assert_lane_identical(scalar, poly)
 
     def test_small_batch_scalar_fallback_path(self):
-        # Below _SCALAR_LANES the kernel clips per lane; results must not
-        # depend on which side of the threshold the batch lands.
+        # A lane's polygon must not depend on how many other lanes share
+        # the batch.
         rng = np.random.default_rng(99)
-        lanes = [random_lane(rng) for _ in range(_SCALAR_LANES - 1)]
+        lanes = [random_lane(rng) for _ in range(11)]
         small = intersect_halfspaces_batch(lanes, BOUND)
         padded = intersect_halfspaces_batch(
-            lanes + [random_lane(rng) for _ in range(_SCALAR_LANES)], BOUND
+            lanes + [random_lane(rng) for _ in range(12)], BOUND
         )
         for lane, (p, q) in enumerate(zip(small, padded[: len(small)])):
             assert_lane_identical(p, q)
@@ -67,11 +63,11 @@ class TestIntersectHalfspacesBatch:
         a = np.array([[1.0, 0.0]])
         b = np.array([7.0])
         [poly] = intersect_halfspaces_batch([(a, b)], BOUND)
-        scalar = intersect_halfspaces(rows_to_halfspaces(a, b), BOUND)
+        scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
         assert_lane_identical(scalar, poly)
 
     def test_zero_row_lane_returns_bound(self):
-        lanes = [(np.zeros((0, 2)), np.zeros(0))] * (_SCALAR_LANES + 2)
+        lanes = [(np.zeros((0, 2)), np.zeros(0))] * 14
         for poly in intersect_halfspaces_batch(lanes, BOUND):
             assert_lane_identical(BOUND, poly)
 
@@ -81,25 +77,25 @@ class TestIntersectHalfspacesBatch:
         bad_b = np.array([-1.0, -1.0])
         good_a = np.array([[1.0, 0.0]])
         good_b = np.array([10.0])
-        lanes = [(bad_a, bad_b), (good_a, good_b)] * _SCALAR_LANES
+        lanes = [(bad_a, bad_b), (good_a, good_b)] * 12
         batched = intersect_halfspaces_batch(lanes, BOUND)
         for (a, b), poly in zip(lanes, batched):
-            scalar = intersect_halfspaces(rows_to_halfspaces(a, b), BOUND)
+            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
             assert_lane_identical(scalar, poly)
         assert batched[0] is None
         assert batched[1] is not None
 
     def test_mixed_row_counts(self):
         rng = np.random.default_rng(7)
-        lanes = [random_lane(rng, max_rows=1) for _ in range(_SCALAR_LANES)]
-        lanes += [random_lane(rng, max_rows=12) for _ in range(_SCALAR_LANES)]
+        lanes = [random_lane(rng, max_rows=1) for _ in range(12)]
+        lanes += [random_lane(rng, max_rows=12) for _ in range(12)]
         batched = intersect_halfspaces_batch(lanes, BOUND)
         for (a, b), poly in zip(lanes, batched):
-            scalar = intersect_halfspaces(rows_to_halfspaces(a, b), BOUND)
+            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
             assert_lane_identical(scalar, poly)
 
     def test_degenerate_sliver_lanes(self):
-        # Two parallel cuts leaving (almost) zero area: the scalar path
+        # Two parallel cuts leaving (almost) zero area: the scalar oracle
         # collapses slivers to None; the batch must agree lane by lane.
         lanes = []
         for eps in (0.0, 1e-13, 1e-9, 1e-3):
@@ -109,5 +105,5 @@ class TestIntersectHalfspacesBatch:
         lanes = lanes * 4
         batched = intersect_halfspaces_batch(lanes, BOUND)
         for (a, b), poly in zip(lanes, batched):
-            scalar = intersect_halfspaces(rows_to_halfspaces(a, b), BOUND)
+            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
             assert_lane_identical(scalar, poly)

@@ -1,11 +1,12 @@
-"""Span names emitted by the batched locate pipeline.
+"""Span names emitted by the locate pipeline.
 
 The per-stage aggregation in benchmarks and the profiler groups spans by
-name, so the batched entry point must keep its names disjoint from the
-scalar reference path's: ``locate_batch`` owns ``lp.solve_batch`` while
-``locate`` owns ``lp.solve`` — the two carry different attribute sets
-and folding them under one name would corrupt any aggregate.  These
-tests pin the name partition and the counters each stage reports.
+name.  There is one pipeline — ``locate`` is ``locate_batch`` on a batch
+of one — so both entry points emit the same stage names
+(``constraints.build_batch``, ``lp.solve_batch``, ``geometry.batch``,
+``merge``) and never the retired scalar names ``lp.solve`` /
+``constraints.build_shared``.  These tests pin the names and the
+counters each stage reports.
 """
 
 import numpy as np
@@ -39,19 +40,24 @@ class TestPipelineSpanNames:
             "geometry.batch",
             "merge",
         } <= names
-        # The batch entry points never route through the scalar stages
-        # (and never borrow their names).
+        # The retired scalar stage names never appear.
         assert "lp.solve" not in names
         assert "constraints.build_shared" not in names
 
-    def test_scalar_locate_keeps_scalar_names(self):
+    def test_locate_emits_batch_stage_names(self):
         scenario, queries = lobby_queries(count=1)
         localizer = NomLocLocalizer(scenario.plan.boundary)
         with capture() as tracer:
             localizer.locate(queries[0])
         names = {s.name for s in tracer.finished()}
-        assert {"constraints.build_shared", "lp.solve", "merge"} <= names
-        assert "lp.solve_batch" not in names
+        assert {
+            "constraints.build_batch",
+            "lp.solve_batch",
+            "geometry.batch",
+            "merge",
+        } <= names
+        assert "lp.solve" not in names
+        assert "constraints.build_shared" not in names
 
     def test_batch_span_counters(self):
         scenario, queries = lobby_queries()

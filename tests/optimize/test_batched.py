@@ -252,9 +252,9 @@ def scenario_systems(name, queries=6, seed=17):
     for i in range(queries):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         anchors = system.gather_anchors(sites[i % len(sites)], rng)
-        shared = localizer.build_shared_constraints(anchors)
+        [(shared, mats)] = localizer.build_shared_constraints_batch([anchors])
         for index in range(len(localizer.pieces)):
-            out.append(localizer.assemble_piece_system(index, shared))
+            out.append(localizer.assemble_piece_system(index, shared, mats))
     return out
 
 

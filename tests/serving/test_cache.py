@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core import Anchor, LocalizerConfig, pairwise_constraints
+from repro.core import Anchor, LocalizerConfig, pairwise_constraints_batch
 from repro.geometry import Point, Polygon
 from repro.serving import BisectorCache, LocalizerCache, topology_key
+
+
+def pairwise_rows(anchors, bisector_cache=None):
+    """One query's rows from the production builder."""
+    [(rows, _mats)] = pairwise_constraints_batch(
+        [anchors], bisector_cache=bisector_cache
+    )
+    return rows
 
 
 def square_anchors(pdps=(4.0, 3.0, 2.0, 1.0)):
@@ -78,23 +86,23 @@ class TestBisectorCache:
     def test_cached_rows_identical_to_uncached(self):
         anchors = square_anchors()
         cache = BisectorCache()
-        plain = pairwise_constraints(anchors)
-        cached_cold = pairwise_constraints(anchors, bisector_cache=cache)
-        cached_warm = pairwise_constraints(anchors, bisector_cache=cache)
+        plain = pairwise_rows(anchors)
+        cached_cold = pairwise_rows(anchors, bisector_cache=cache)
+        cached_warm = pairwise_rows(anchors, bisector_cache=cache)
         assert plain == cached_cold == cached_warm
 
     def test_repeat_queries_hit(self):
         anchors = square_anchors()
         cache = BisectorCache()
-        pairwise_constraints(anchors, bisector_cache=cache)
-        pairwise_constraints(anchors, bisector_cache=cache)
+        pairwise_rows(anchors, bisector_cache=cache)
+        pairwise_rows(anchors, bisector_cache=cache)
         stats = cache.stats()
         assert stats.hits == stats.misses  # second pass all hits
         assert stats.hits > 0
 
     def test_orientation_flip_is_a_distinct_entry(self):
         cache = BisectorCache()
-        pairwise_constraints(square_anchors((4.0, 3.0)), bisector_cache=cache)
+        pairwise_rows(square_anchors((4.0, 3.0)), bisector_cache=cache)
         # Same pair, reversed proximity judgement -> different (near, far).
-        pairwise_constraints(square_anchors((3.0, 4.0)), bisector_cache=cache)
+        pairwise_rows(square_anchors((3.0, 4.0)), bisector_cache=cache)
         assert cache.stats().misses == 2

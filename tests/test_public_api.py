@@ -66,7 +66,10 @@ class TestPublicAPI:
 
 
 class TestRemovedNames:
-    """One serve path: the thread pool and the piece mapper are gone."""
+    """One path per stage: retired twins stay gone from ``src/``.
+
+    The scalar references that survive live in ``tests/oracles``.
+    """
 
     @pytest.mark.parametrize(
         "module_name, name",
@@ -75,12 +78,38 @@ class TestRemovedNames:
             ("repro.serving", "ProcessWorkerPool"),
             ("repro.core", "PieceMapper"),
             ("repro.core.localizer", "PieceMapper"),
+            ("repro.core", "pairwise_constraints"),
+            ("repro.core.constraints", "pairwise_constraints"),
+            ("repro.geometry", "clip_polygon"),
+            ("repro.geometry.halfspace", "clip_polygon"),
+            ("repro.geometry.halfspace", "_SCALAR_LANES"),
         ],
     )
     def test_not_exported(self, module_name, name):
         module = importlib.import_module(module_name)
         assert name not in getattr(module, "__all__", [])
         assert not hasattr(module, name)
+
+    @pytest.mark.parametrize(
+        "class_path, attr",
+        [
+            ("repro.core.NomLocLocalizer", "build_shared_constraints"),
+            ("repro.core.NomLocLocalizer", "solve_piece"),
+            ("repro.core.NomLocLocalizer", "_solution_from_relaxation"),
+            ("repro.channel.CSISynthesizer", "synthesize_batch_scalar"),
+        ],
+    )
+    def test_method_removed(self, class_path, attr):
+        module_name, class_name = class_path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), class_name)
+        assert not hasattr(cls, attr)
+
+    def test_localizer_config_field_count_unchanged(self):
+        from dataclasses import fields
+
+        from repro.core import LocalizerConfig
+
+        assert len(fields(LocalizerConfig)) == 5
 
     def test_serving_config_has_no_worker_mode_knobs(self):
         from dataclasses import fields
