@@ -332,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=1, help="replicas per shard"
     )
     gateway.add_argument(
-        "--solver-workers",
-        type=int,
-        default=2,
-        help="solver threads behind the async/sync bridge",
-    )
-    gateway.add_argument(
         "--selftest",
         action="store_true",
         help="in-process client round-trip: socket answers must match the "
@@ -1370,7 +1364,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             db_path=args.db,
             num_shards=args.shards,
             replicas_per_shard=args.replicas,
-            solver_workers=args.solver_workers,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1401,11 +1394,12 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 def _gateway_selftest(args, scenario, config) -> int:
     """In-process round trip over a real socket, gated on bit-exactness.
 
-    Three checks, mirroring the ``cluster --selftest`` conventions:
+    Four checks, mirroring the ``cluster --selftest`` conventions:
     answers served over the wire equal the direct service's bit for bit;
     a replayed batch_id re-acks as a duplicate without double-ingesting;
-    and after a graceful drain every acked batch has a stored estimate
-    (no acknowledged write lost).
+    a burst pipelined on one connection is acked in request order with
+    exactly one position push per ack; and after a graceful drain every
+    acked batch has a stored estimate (no acknowledged write lost).
     """
     import asyncio
     import tempfile
@@ -1419,11 +1413,74 @@ def _gateway_selftest(args, scenario, config) -> int:
         MeasurementLedger,
         run_loadgen,
     )
+    from .gateway.client import batch_payload
     from .serving import LocalizationService
 
     _, _, queries = _serving_setup(args)
     batch = list(queries(6))
     anchor_sets = [anchors for _, anchors in batch]
+
+    async def pipelined_burst(server, client, burst: list[str]) -> int:
+        """One burst pipelined on one connection: the acks must come
+        back in request order, and each acked batch must push exactly
+        one ``position`` event."""
+        object_id = "selftest-burst"
+        # resume_from=0 replays anything published before the
+        # subscription lands, so no push can be missed.
+        stream = client.stream(object_id, resume_from=0)
+        pushed: list[str] = []
+
+        async def consume() -> None:
+            async for event in stream:
+                if event.get("type") == "position":
+                    pushed.append(event["batch_id"])
+                if len(pushed) == len(burst):
+                    return
+
+        consumer = asyncio.ensure_future(consume())
+        responses = await client.pipeline(
+            [
+                (
+                    "POST",
+                    "/v1/measurements",
+                    batch_payload(
+                        batch_id,
+                        anchor_sets[i % len(anchor_sets)],
+                        object_id=object_id,
+                    ),
+                )
+                for i, batch_id in enumerate(burst)
+            ]
+        )
+        try:
+            await asyncio.wait_for(consumer, timeout=30.0)
+        except asyncio.TimeoutError:
+            pass
+        await stream.aclose()
+        acked = [
+            r.json().get("batch_id")
+            for r in responses
+            if r.status == 200 and not r.json().get("duplicate")
+        ]
+        failures = 0
+        if acked != burst:
+            print(
+                f"  FAIL: pipelined acks out of order or missing: {acked}",
+                file=sys.stderr,
+            )
+            failures += 1
+        if sorted(pushed) != sorted(burst):
+            print(
+                f"  FAIL: {len(pushed)} position pushes for {len(burst)} "
+                "acks (want exactly one each)",
+                file=sys.stderr,
+            )
+            failures += 1
+        print(
+            f"  pipelined burst: {len(acked)}/{len(burst)} acks in request "
+            f"order on one connection, {len(pushed)} position pushes"
+        )
+        return failures
 
     async def run(db_path: str) -> int:
         test_config = dc_replace(config, port=0, db_path=db_path)
@@ -1457,6 +1514,8 @@ def _gateway_selftest(args, scenario, config) -> int:
         if dup["estimate"]["position"] != ack["estimate"]["position"]:
             print("  FAIL: replayed ack changed the answer", file=sys.stderr)
             failures += 1
+        burst = [f"selftest-burst-{i}" for i in range(16)]
+        failures += await pipelined_burst(server, client, burst)
         report = await run_loadgen(
             server.host,
             server.port,
@@ -1489,7 +1548,7 @@ def _gateway_selftest(args, scenario, config) -> int:
         with MeasurementLedger(db_path) as ledger:
             lost = [
                 bid
-                for bid in ["selftest-batch", *report.acked_batch_ids]
+                for bid in ["selftest-batch", *burst, *report.acked_batch_ids]
                 if ledger.get_estimate(bid) is None
             ]
         if lost:
@@ -1500,7 +1559,8 @@ def _gateway_selftest(args, scenario, config) -> int:
             failures += 1
         else:
             print(
-                f"  drain durability: {1 + len(report.acked_batch_ids)} "
+                f"  drain durability: "
+                f"{1 + len(burst) + len(report.acked_batch_ids)} "
                 "acked batches all answered in the ledger"
             )
         return failures

@@ -13,7 +13,14 @@ What lives here (and only here):
   so every transaction is an explicit ``BEGIN IMMEDIATE`` block;
 * writer serialization — one internal lock plus a dedicated immediate
   transaction per mutation, so concurrent threads never interleave
-  partial writes while WAL readers go straight through;
+  partial writes;
+* group commit — :meth:`WalDatabase.write_group` runs many independent
+  mutations in one transaction (one fsync), each under its own
+  ``SAVEPOINT`` so a failing item rolls back alone;
+* committed reads — :meth:`WalDatabase.query` goes through a separate
+  read-only connection, which under WAL sees only committed snapshots,
+  so a read never observes a write transaction that is still open (and
+  may yet roll back) and never waits for one;
 * the schema-version gate — a ``schema_version`` table checked at open;
   a file written by an incompatible store fails loudly instead of being
   corrupted;
@@ -30,7 +37,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 __all__ = ["WalDatabase", "WalError"]
 
@@ -96,6 +103,20 @@ class WalDatabase:
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._closed = False
         self._init_schema(schema)
+        # Reads get their own connection: the writer's would show them
+        # rows of a transaction that is still open.  An in-memory
+        # database cannot be shared, so there reads take the writer
+        # lock instead (and so only ever see committed state too).
+        self._read_lock = self._lock
+        self._reader = self._conn
+        if self.path != ":memory:":
+            self._read_lock = threading.Lock()
+            self._reader = sqlite3.connect(
+                Path(self.path).resolve().as_uri() + "?mode=ro",
+                uri=True,
+                check_same_thread=False,
+                isolation_level=None,
+            )
 
     # ------------------------------------------------------------------
     # Schema / lifecycle
@@ -132,10 +153,10 @@ class WalDatabase:
 
     def schema_version(self) -> int:
         """The version recorded in the database file."""
-        row = self._conn.execute("SELECT version FROM schema_version").fetchone()
-        if row is None:  # pragma: no cover - _init_schema guarantees a row
+        rows = self.query("SELECT version FROM schema_version")
+        if not rows:  # pragma: no cover - _init_schema guarantees a row
             raise self._error_cls("database has no schema_version row")
-        return int(row[0])
+        return int(rows[0][0])
 
     @property
     def closed(self) -> bool:
@@ -149,10 +170,13 @@ class WalDatabase:
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
-        """Checkpoint and close the connection (idempotent)."""
+        """Checkpoint and close the connections (idempotent)."""
         with self._lock:
             if self._closed:
                 return
+            if self._reader is not self._conn:
+                with self._read_lock:
+                    self._reader.close()
             try:
                 self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
             finally:
@@ -192,11 +216,36 @@ class WalDatabase:
                 self._conn.execute("ROLLBACK")
                 raise
 
-    def query(self, sql: str, params: tuple = ()) -> list[tuple]:
-        """One read-only statement (WAL readers don't block writers)."""
-        return self._conn.execute(sql, params).fetchall()
+    def write_group(
+        self, fns: Sequence[Callable[[sqlite3.Connection], object]]
+    ) -> list:
+        """Run independent mutations in one :meth:`write` transaction.
 
-    @property
-    def connection(self) -> sqlite3.Connection:
-        """The raw connection, for read paths that build cursors."""
-        return self._conn
+        Each ``fn`` runs under its own ``SAVEPOINT``: one that raises is
+        rolled back alone and its exception takes its slot in the
+        returned list; the others keep their results and commit together
+        — one WAL commit, one fsync, for the whole group.  An item sees
+        the rows of the items before it (a repeated key inside one group
+        behaves as it would across two transactions).  A failure of the
+        commit itself fails every item.
+        """
+
+        def txn(conn: sqlite3.Connection) -> list:
+            outcomes: list = []
+            for fn in fns:
+                conn.execute("SAVEPOINT item")
+                try:
+                    outcomes.append(fn(conn))
+                except Exception as exc:
+                    conn.execute("ROLLBACK TO item")
+                    outcomes.append(exc)
+                conn.execute("RELEASE item")
+            return outcomes
+
+        return self.write(txn)
+
+    def query(self, sql: str, params: tuple = ()) -> list[tuple]:
+        """One read-only statement over committed data only."""
+        with self._read_lock:
+            self.check_open()
+            return self._reader.execute(sql, params).fetchall()

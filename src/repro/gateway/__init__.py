@@ -10,8 +10,10 @@ Python process can talk to.  Components:
   :class:`MeasurementLedger` (stdlib sqlite3, WAL + fsync): acked means
   committed, and a killed gateway replays its unanswered backlog on
   restart;
-* :mod:`~repro.gateway.bridge` — the bounded thread offload between the
-  event loop and the synchronous cluster/serving solver;
+* :mod:`~repro.gateway.bridge` — the thread offload between the event
+  loop and the synchronous solver and ledger: queued solves go to the
+  stacked solver as one chunk, queued ledger writes share one group
+  commit;
 * :mod:`~repro.gateway.server` — :class:`GatewayServer`, the asyncio
   HTTP + WebSocket server with end-to-end graceful shutdown;
 * :mod:`~repro.gateway.client` — keep-alive clients (async + sync);

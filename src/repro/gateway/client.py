@@ -20,7 +20,7 @@ from . import protocol
 from .http import HttpResponse, read_response, write_request
 from .ws import OP_CLOSE, OP_PING, OP_PONG, OP_TEXT, encode_frame, read_frame
 
-__all__ = ["AsyncGatewayClient", "GatewayClient", "GatewayError"]
+__all__ = ["AsyncGatewayClient", "GatewayClient", "GatewayError", "batch_payload"]
 
 _ws_key_counter = itertools.count(1)
 
@@ -40,6 +40,26 @@ class GatewayError(RuntimeError):
 
 def _anchors_payload(anchors: Sequence[Anchor]) -> list[dict]:
     return [protocol.anchor_to_dict(a) for a in anchors]
+
+
+def batch_payload(
+    batch_id: str,
+    anchors: Sequence[Anchor],
+    object_id: str = "",
+    wait: bool = False,
+    gate=None,
+) -> dict:
+    """The ``POST /v1/measurements`` body of one measurement batch."""
+    payload = {
+        "v": protocol.PROTOCOL_VERSION,
+        "batch_id": batch_id,
+        "object_id": object_id,
+        "anchors": _anchors_payload(anchors),
+        "wait": wait,
+    }
+    if gate is not None:
+        payload["gate"] = gate.to_dict()
+    return payload
 
 
 class AsyncGatewayClient:
@@ -80,6 +100,19 @@ class AsyncGatewayClient:
         assert self._reader is not None and self._writer is not None
         await write_request(self._writer, method, path, payload)
         return await read_response(self._reader)
+
+    async def pipeline(
+        self, calls: Sequence[tuple[str, str, dict | None]]
+    ) -> list[HttpResponse]:
+        """Send ``(method, path, payload)`` requests back to back, then
+        read their responses — which the server writes in request
+        order."""
+        if self._writer is None:
+            await self.connect()
+        assert self._reader is not None and self._writer is not None
+        for method, path, payload in calls:
+            await write_request(self._writer, method, path, payload)
+        return [await read_response(self._reader) for _ in calls]
 
     async def request_json(
         self, method: str, path: str, payload: dict | None = None
@@ -123,16 +156,11 @@ class AsyncGatewayClient:
         gate=None,
     ) -> dict:
         """Durable ingest; the returned ack is backed by an fsynced row."""
-        payload = {
-            "v": protocol.PROTOCOL_VERSION,
-            "batch_id": batch_id,
-            "object_id": object_id,
-            "anchors": _anchors_payload(anchors),
-            "wait": wait,
-        }
-        if gate is not None:
-            payload["gate"] = gate.to_dict()
-        return await self.request_json("POST", "/v1/measurements", payload)
+        return await self.request_json(
+            "POST",
+            "/v1/measurements",
+            batch_payload(batch_id, anchors, object_id, wait, gate),
+        )
 
     async def get_estimate(self, batch_id: str) -> dict:
         return await self.request_json("GET", f"/v1/estimates/{batch_id}")

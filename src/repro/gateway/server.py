@@ -2,20 +2,31 @@
 
 The first component that lets anything *outside* the Python process
 submit measurements or receive estimates.  One asyncio event loop owns
-all connections (HTTP keep-alive + WebSocket streams); every solve hops
-across the :class:`~repro.gateway.bridge.SolverBridge` into the
-sharded/replicated :class:`~repro.cluster.LocalizationCluster`, and
-every measurement batch is acked only after the
-:class:`~repro.gateway.store.MeasurementLedger` committed it (WAL +
-fsync), so the ingest path is durable across a SIGKILL.
+all connections (HTTP keep-alive + WebSocket streams); every solve and
+every ledger write hops across the
+:class:`~repro.gateway.bridge.SolverBridge` — solves into the
+sharded/replicated :class:`~repro.cluster.LocalizationCluster`, writes
+into the :class:`~repro.gateway.store.MeasurementLedger` (WAL + fsync)
+— and every measurement batch is acked only after the commit covering
+it returned, so the ingest path is durable across a SIGKILL.
 
 Request lifecycle of a durable submission::
 
-    POST /v1/measurements ──▶ decode+validate ──▶ ledger INSERT (fsync)
+    POST /v1/measurements ──▶ decode+validate ──▶ ledger INSERT (group commit)
          ◀── ack {"status": "accepted"} ─────────────┘
-    background: bridge.locate() ──▶ ledger estimate row
+    background: bridge.locate() ──▶ ledger estimate row (group commit)
                                 └─▶ WebSocket push to the object's
                                     subscribers
+
+**Pipelining.**  A connection keeps reading requests while earlier
+ones are still in flight (at most ``max_inflight`` outstanding per
+connection), dispatches each at once, and writes the responses in
+request order: each response waits for the one before it.  A burst
+pipelined on one connection therefore reaches the bridge together —
+its ledger inserts share group commits and its solves share chunks —
+instead of paying one fsync and one solve per request in turn.  A
+``Connection: close`` request is the last one read; a WebSocket upgrade
+waits until every earlier response is out.
 
 Crash recovery: on :meth:`GatewayServer.start`, every acked batch
 without an estimate row (the backlog a kill left behind) is re-solved
@@ -23,9 +34,10 @@ and answered from the ledger alone — acked means answered, eventually,
 across restarts.
 
 Graceful shutdown (:meth:`GatewayServer.stop`, wired to
-SIGTERM/SIGINT by :meth:`serve_forever`): stop accepting, let in-flight
-requests finish, complete the background solve backlog, drain the
-cluster's services (:meth:`~repro.cluster.LocalizationCluster.drain`),
+SIGTERM/SIGINT by :meth:`serve_forever`): stop accepting, answer every
+request already read (the last response on a connection says
+``Connection: close``), complete the background solve backlog, drain
+the cluster's services (:meth:`~repro.cluster.LocalizationCluster.drain`),
 checkpoint + close the WAL ledger, and flush tracer spans.  A test
 asserts no acked write is lost across a drain.
 """
@@ -33,13 +45,12 @@ asserts no acked write is lost across a drain.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import signal
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Awaitable
 
 from ..cluster import ClusterConfig, LocalizationCluster
 from ..core import LocalizerConfig
@@ -70,7 +81,11 @@ from .ws import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layer cycle
     from ..sessions import SessionManager
 
-__all__ = ["GatewayConfig", "GatewayServer"]
+__all__ = ["DEFAULT_SERVING", "GatewayConfig", "GatewayServer"]
+
+#: Serving knobs when the caller passes none: requests queued behind a
+#: running solve are coalesced into chunks of up to ``lp_batch``.
+DEFAULT_SERVING = ServingConfig(lp_batch=16)
 
 
 @dataclass(frozen=True)
@@ -86,10 +101,9 @@ class GatewayConfig:
         Ledger file; ``":memory:"`` serves without durability (tests).
     num_shards / replicas_per_shard:
         Shape of the backing localization cluster.
-    solver_workers:
-        Threads in the solve/ledger executor.
     max_inflight:
-        Admission bound across the async/sync boundary.
+        Admission bound: the most pipelined requests outstanding on one
+        connection; later ones wait unread in the socket.
     synchronous:
         Ledger ``PRAGMA synchronous`` level (``"FULL"`` = acks fsync).
     drain_timeout_s:
@@ -114,7 +128,6 @@ class GatewayConfig:
     db_path: str = "gateway.db"
     num_shards: int = 1
     replicas_per_shard: int = 1
-    solver_workers: int = 2
     max_inflight: int = 64
     synchronous: str = "FULL"
     drain_timeout_s: float = 10.0
@@ -126,8 +139,6 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1 or self.replicas_per_shard < 1:
             raise ValueError("cluster shape must be at least 1x1")
-        if self.solver_workers < 1:
-            raise ValueError("solver_workers must be at least 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if self.drain_timeout_s <= 0:
@@ -143,11 +154,14 @@ class GatewayConfig:
 class _Connection:
     """Book-keeping for one accepted socket."""
 
-    __slots__ = ("writer", "busy", "is_ws", "queue")
+    __slots__ = ("writer", "outstanding", "last", "is_ws", "queue")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.busy = False
+        #: requests read whose response is not written yet.
+        self.outstanding = 0
+        #: the newest response task; each awaits the one before it.
+        self.last: asyncio.Task | None = None
         self.is_ws = False
         self.queue: asyncio.Queue | None = None
 
@@ -160,7 +174,9 @@ class GatewayServer:
     area:
         Default venue polygon served by the backing cluster.
     localizer_config / serving_config:
-        SP and per-replica serving knobs, passed through to the cluster.
+        SP and per-replica serving knobs, passed through to the cluster
+        (default :data:`DEFAULT_SERVING`).  ``serving_config.lp_batch``
+        also caps how many queued requests one coalesced solve takes.
     config:
         Operational :class:`GatewayConfig`.
     sessions:
@@ -184,22 +200,21 @@ class GatewayServer:
         self.area = area
         self.sessions = sessions
         self._session_t0 = time.monotonic()
+        serving = serving_config or DEFAULT_SERVING
         self.cluster = LocalizationCluster(
             area,
             localizer_config,
             ClusterConfig(
                 num_shards=self.config.num_shards,
                 replicas_per_shard=self.config.replicas_per_shard,
-                serving=serving_config or ServingConfig(),
+                serving=serving,
             ),
         )
         self.ledger = MeasurementLedger(
             self.config.db_path, synchronous=self.config.synchronous
         )
         self.bridge = SolverBridge(
-            self.cluster,
-            max_workers=self.config.solver_workers,
-            max_inflight=self.config.max_inflight,
+            self.cluster, self.ledger, max_chunk=max(1, serving.lp_batch)
         )
         self.host = self.config.host
         self.port = self.config.port
@@ -250,7 +265,7 @@ class GatewayServer:
                 pending["batch_id"], pending["payload"]
             )
             await self._answer_batch(
-                pending["batch_id"], pending["object_id"], request
+                pending["batch_id"], pending["object_id"], self.bridge.locate(request)
             )
             self.replayed += 1
 
@@ -283,13 +298,14 @@ class GatewayServer:
             self._server.close()
             await self._server.wait_closed()
         # Wake WS pumps and close idle keep-alive connections; busy ones
-        # finish their current request and then exit their loops.
+        # answer every request already read, and their last response
+        # closes them.
         for conn in list(self._connections):
             if conn.queue is not None:
                 # Streams: stop the pump and abort the blocked frame read.
                 conn.queue.put_nowait(None)
                 conn.writer.close()
-            elif not conn.busy:
+            elif not conn.outstanding:
                 conn.writer.close()
         if self._conn_tasks:
             await asyncio.wait(
@@ -335,28 +351,31 @@ class GatewayServer:
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
+        slots = asyncio.Semaphore(self.config.max_inflight)
         try:
             while not self._closing:
+                await slots.acquire()
                 try:
                     request = await read_request(reader)
                 except (HttpError, ConnectionError):
                     break
-                if request is None:
+                if request is None or writer.is_closing():
                     break
-                conn.busy = True
-                try:
-                    if self._is_ws_upgrade(request):
+                if self._is_ws_upgrade(request):
+                    if conn.last is not None:
+                        await conn.last  # earlier responses go out first
+                    if not writer.is_closing():
                         await self._serve_websocket(conn, reader, writer, request)
-                        break
-                    keep_alive = request.keep_alive and not self._closing
-                    await self._dispatch(request, writer, keep_alive)
-                except (ConnectionError, HttpError):
                     break
-                finally:
-                    conn.busy = False
+                conn.outstanding += 1
+                conn.last = asyncio.ensure_future(
+                    self._respond(conn, request, conn.last, slots)
+                )
                 if not request.keep_alive:
                     break
         finally:
+            if conn.last is not None:
+                await conn.last
             self._connections.discard(conn)
             writer.close()
 
@@ -367,23 +386,52 @@ class GatewayServer:
             and "sec-websocket-key" in request.headers
         )
 
-    async def _dispatch(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, keep_alive: bool
+    async def _respond(
+        self,
+        conn: _Connection,
+        request: HttpRequest,
+        previous: asyncio.Task | None,
+        slots: asyncio.Semaphore,
     ) -> None:
+        """Serve one request, then write its response after the one
+        before it.
+
+        The last response of a closing server (or of a ``Connection:
+        close`` request) says so and closes the connection; a response
+        that would follow it on a closed connection is dropped.
+        """
+        status, payload = await self._dispatch(request)
+        if previous is not None:
+            await previous
+        conn.outstanding -= 1
+        slots.release()
+        writer = conn.writer
+        if writer.is_closing():
+            return
+        keep_alive = request.keep_alive and not (
+            self._closing and not conn.outstanding
+        )
+        try:
+            await write_json_response(writer, status, payload, keep_alive)
+        except ConnectionError:
+            keep_alive = False
+        if not keep_alive:
+            writer.close()
+
+    async def _dispatch(self, request: HttpRequest) -> tuple[int, dict]:
         """Route one HTTP request, mapping protocol errors to 4xx JSON."""
         self.requests_total += 1
         try:
-            status, payload = await self._route(request)
+            return await self._route(request)
         except protocol.ProtocolError as exc:
             self.errors_total += 1
-            status, payload = 400, {"error": exc.code, "detail": str(exc)}
+            return 400, {"error": exc.code, "detail": str(exc)}
         except Exception as exc:  # solver/ledger pathologies: flagged 500
             self.errors_total += 1
-            status, payload = 500, {
+            return 500, {
                 "error": "internal",
                 "detail": f"{type(exc).__name__}: {exc}",
             }
-        await write_json_response(writer, status, payload, keep_alive)
 
     async def _route(self, request: HttpRequest) -> tuple[int, dict]:
         method, path = request.method, request.path.split("?", 1)[0]
@@ -416,15 +464,14 @@ class GatewayServer:
     async def _handle_measurements(
         self, request: HttpRequest
     ) -> tuple[int, dict]:
-        """Durable ingest: persist (fsync), ack, then answer."""
-        batch = protocol.decode_measurement_batch(request.json())
-        batch_id, object_id = batch["batch_id"], batch["object_id"]
+        """Durable ingest: persist (group fsync), ack, then answer."""
         payload = request.json()
+        batch = protocol.decode_measurement_batch(payload)
+        batch_id, object_id = batch["batch_id"], batch["object_id"]
         payload.pop("wait", None)
         gate = batch["gate"]
-        inserted = await self.bridge.run(
-            functools.partial(
-                self.ledger.record_batch,
+        inserted = await self.bridge.write(
+            self.ledger.batch_txn(
                 batch_id,
                 object_id,
                 batch["anchors"],
@@ -432,7 +479,9 @@ class GatewayServer:
                 verdicts=(
                     [v.to_dict() for v in gate.verdicts] if gate else ()
                 ),
-            )
+            ),
+            "ledger.record_batch",
+            batch_id,
         )
         # From here on the batch is committed: whatever happens next, a
         # restart will find and answer it.
@@ -446,32 +495,43 @@ class GatewayServer:
             "batch_id": batch_id,
             "duplicate": not inserted,
         }
-        loc_request = LocalizationRequest(
-            batch["anchors"], query_id=batch_id, gate=gate
+        if not inserted:
+            if not batch["wait"]:
+                return 200, ack
+            stored = self.ledger.get_estimate(batch_id)
+            if stored is not None:
+                ack["estimate"] = stored
+                return 200, ack
+        # Queued for the solver now, so a burst's solves coalesce even
+        # while its acks are still being written.
+        answer = self._answer_batch(
+            batch_id,
+            object_id,
+            self.bridge.locate(
+                LocalizationRequest(batch["anchors"], query_id=batch_id, gate=gate)
+            ),
         )
         if batch["wait"]:
-            stored = self.ledger.get_estimate(batch_id) if not inserted else None
-            ack["estimate"] = (
-                stored
-                if stored is not None
-                else await self._answer_batch(batch_id, object_id, loc_request)
-            )
-            return 200, ack
-        if inserted:
-            task = asyncio.ensure_future(
-                self._answer_batch(batch_id, object_id, loc_request)
-            )
+            ack["estimate"] = await answer
+        else:
+            task = asyncio.ensure_future(answer)
             self._solve_tasks.add(task)
             task.add_done_callback(self._solve_tasks.discard)
         return 200, ack
 
     async def _answer_batch(
-        self, batch_id: str, object_id: str, request: LocalizationRequest
+        self, batch_id: str, object_id: str, solved: Awaitable
     ) -> dict:
-        """Solve one acked batch, persist its estimate, notify streams."""
-        response = await self.bridge.locate(request)
+        """Finish one acked batch: await its solve (``solved``, from
+        :meth:`SolverBridge.locate`), persist the estimate, notify
+        streams."""
+        response = await solved
         wire = protocol.response_to_dict(response)
-        await self.bridge.run(self.ledger.record_estimate, batch_id, wire)
+        await self.bridge.write(
+            self.ledger.estimate_txn(batch_id, wire),
+            "ledger.record_estimate",
+            batch_id,
+        )
         self.answered_total += 1
         self._publish(object_id, protocol.position_event(object_id, batch_id, wire))
         if self.sessions is not None and object_id:

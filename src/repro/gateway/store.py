@@ -11,7 +11,12 @@ writers, the ``synchronous`` fsync level, the schema-version gate,
 checkpoint-on-close) lives in the shared
 :class:`repro.durable.WalDatabase` helper — the session layer's
 :class:`repro.sessions.durable.SessionStore` rides the same machinery.
-This module owns only the measurement schema and its queries.
+This module owns only the measurement schema and its queries.  Each
+write comes in two forms: ``record_batch``/``record_estimate`` commit
+one row on the calling thread, and ``batch_txn``/``estimate_txn`` return
+the same mutation for :meth:`~repro.durable.WalDatabase.write_group`,
+which the gateway uses to commit every write queued at once in one
+transaction.  Reads see committed rows only.
 
 Schema (version :data:`SCHEMA_VERSION`, guarded by an explicit
 ``schema_version`` table — opening a ledger written by an incompatible
@@ -43,7 +48,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core import Anchor
 from ..durable import WalDatabase
@@ -138,6 +143,26 @@ class MeasurementLedger(WalDatabase):
         overwritten and ``False`` comes back so the caller can flag the
         ack as a duplicate.
         """
+        return bool(
+            self.write(
+                self.batch_txn(batch_id, object_id, anchors, payload_json, verdicts)
+            )
+        )
+
+    def batch_txn(
+        self,
+        batch_id: str,
+        object_id: str,
+        anchors: Sequence[Anchor],
+        payload_json: str,
+        verdicts: Iterable[Mapping] = (),
+    ) -> Callable[[sqlite3.Connection], bool]:
+        """The mutation of :meth:`record_batch`, for a group commit.
+
+        Returns a function of the connection that inserts the batch and
+        returns False when ``batch_id`` is already present; run it
+        through :meth:`write` or :meth:`~repro.durable.WalDatabase.write_group`.
+        """
         now = time.time()
         verdict_rows = [
             (
@@ -179,7 +204,7 @@ class MeasurementLedger(WalDatabase):
             )
             return True
 
-        return bool(self.write(txn))
+        return txn
 
     def record_estimate(self, batch_id: str, wire_response: Mapping) -> None:
         """Durably record the answer of one batch (idempotent).
@@ -189,6 +214,12 @@ class MeasurementLedger(WalDatabase):
         is denormalized into columns for queries, the full payload kept
         verbatim for replay fidelity.
         """
+        self.write(self.estimate_txn(batch_id, wire_response))
+
+    def estimate_txn(
+        self, batch_id: str, wire_response: Mapping
+    ) -> Callable[[sqlite3.Connection], None]:
+        """The mutation of :meth:`record_estimate`, for a group commit."""
         position = wire_response["position"]
         payload = json.dumps(wire_response, sort_keys=True)
         now = time.time()
@@ -210,7 +241,7 @@ class MeasurementLedger(WalDatabase):
                 ),
             )
 
-        self.write(txn)
+        return txn
 
     # ------------------------------------------------------------------
     # Reads

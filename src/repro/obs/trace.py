@@ -160,6 +160,23 @@ class Tracer:
         parent_id = parent.span_id if parent is not None else None
         return Span(name, next(self._ids), parent_id, tracer=self, attributes=attrs)
 
+    def record(
+        self, name: str, start_s: float, duration_s: float, **attrs
+    ) -> Span:
+        """Add a finished root span timed by the caller.
+
+        For stages that cannot hold a ``with`` block open — a request
+        that waits across awaits on an event loop, an item committed as
+        part of a group — the caller measures ``start_s`` (a
+        ``time.perf_counter()`` reading) and ``duration_s`` itself.
+        """
+        sp = Span(name, next(self._ids), None, tracer=self, attributes=attrs)
+        sp.start_s = start_s
+        sp.duration_s = duration_s
+        with self._lock:
+            self._finished.append(sp)
+        return sp
+
     def current(self) -> Span | None:
         """This thread's innermost active span, if any."""
         stack = getattr(self._local, "stack", None)

@@ -226,6 +226,75 @@ class TestConcurrentWriters:
         ledger.close()
 
 
+def hold_write_open(db, txn):
+    """Run ``txn`` in a write on another thread and keep it open.
+
+    Returns ``(release, join)``: set ``release`` to let the transaction
+    end — ``txn`` then raises, so it rolls back — and call ``join()``
+    to wait for that.
+    """
+    inside, release = threading.Event(), threading.Event()
+    errors = []
+
+    def body(conn):
+        txn(conn)
+        inside.set()
+        assert release.wait(5)
+        raise RuntimeError("roll back")
+
+    def writer():
+        try:
+            db.write(body)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    assert inside.wait(5)
+
+    def join():
+        thread.join()
+        assert len(errors) == 1
+
+    return release, join
+
+
+class TestCommittedReads:
+    def test_reads_never_see_an_open_write(self, tmp_path, anchor_sets):
+        """A read while a write transaction is open must not see its
+        rows: they are not on disk yet, and here they roll back."""
+        ledger = MeasurementLedger(tmp_path / "ledger.db")
+        ledger.record_batch("b", "", anchor_sets[0], _payload(anchor_sets[0]))
+        release, join = hold_write_open(
+            ledger,
+            lambda conn: conn.execute(
+                "INSERT INTO estimates(batch_id, x, y, degraded, payload,"
+                " answered_s) VALUES ('b', 1, 2, 0, '{\"x\": 1}', 0)"
+            ),
+        )
+        try:
+            during = ledger.get_estimate("b")
+            pending = ledger.counts()["pending"]
+        finally:
+            release.set()
+            join()
+        assert during is None
+        assert pending == 1
+        assert ledger.get_estimate("b") is None
+        ledger.close()
+
+    def test_reads_see_each_commit(self, tmp_path, anchor_sets):
+        ledger = MeasurementLedger(tmp_path / "ledger.db")
+        assert ledger.get_batch("b") is None
+        ledger.record_batch("b", "o", anchor_sets[0], _payload(anchor_sets[0]))
+        assert ledger.get_batch("b")["object_id"] == "o"
+        ledger.record_estimate("b", _wire(x=3.0))
+        assert ledger.get_estimate("b")["position"]["x"] == 3.0
+        ledger.close()
+        with pytest.raises(LedgerError):
+            ledger.get_batch("b")
+
+
 class TestVerdictPersistence:
     def test_guard_verdicts_roundtrip(self, tmp_path, anchor_sets):
         verdicts = [

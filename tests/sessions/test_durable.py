@@ -80,6 +80,25 @@ class TestSessionStore:
             assert store.journal_len() == 4
             assert store.counts()["buffered"] == 0
 
+    def test_reads_never_see_an_open_write(self, tmp_path):
+        from tests.gateway.test_store import hold_write_open
+
+        with SessionStore(tmp_path / "s.db", group_commit=1) as store:
+            release, join = hold_write_open(
+                store,
+                lambda conn: conn.execute(
+                    "INSERT INTO journal(seq, kind, object_id, t_s, payload,"
+                    " chain) VALUES (1, 'fix', 'a', 0, '{}', 'c')"
+                ),
+            )
+            try:
+                during = store.journal_len()
+            finally:
+                release.set()
+                join()
+            assert during == 0
+            assert store.journal_len() == 0
+
     def test_flush_commits_partial_batch(self, tmp_path):
         with SessionStore(tmp_path / "s.db", group_commit=100) as store:
             store.append_journal("fix", "a", 0.0, {"x": 1.0}, "c0")

@@ -406,7 +406,7 @@ class TestGatewayCommand:
         args = build_parser().parse_args(
             ["gateway", "lobby", "--host", "0.0.0.0", "--port", "8080",
              "--db", "/tmp/x.db", "--shards", "2", "--replicas", "3",
-             "--solver-workers", "4", "--selftest"]
+             "--selftest"]
         )
         assert args.scenario == "lobby"
         assert args.host == "0.0.0.0"
@@ -414,7 +414,6 @@ class TestGatewayCommand:
         assert args.db == "/tmp/x.db"
         assert args.shards == 2
         assert args.replicas == 3
-        assert args.solver_workers == 4
         assert args.selftest
 
     def test_gateway_defaults(self):
