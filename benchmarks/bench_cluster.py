@@ -1,199 +1,130 @@
-"""CLUSTER — sharded/replicated serving: bit-exactness + fault drill.
+"""CLUSTER — topology-sharded serving: bit-exactness across shard counts.
 
-Two claims of the ``repro.cluster`` subsystem, benchmarked:
+The claim of the ``repro.cluster`` subsystem, benchmarked: a
+:class:`repro.cluster.LocalizationCluster` with 1 or 2 shards answers
+*bit-identically* to one sequential
+:class:`repro.serving.LocalizationService`, for ungated queries and for
+guard-gated ones (routing chooses *which* shard's service computes,
+never *what*).
 
-* **No faults** — a :class:`repro.cluster.LocalizationCluster` of any
-  shard/replica shape answers *bit-identically* to one sequential
-  :class:`repro.serving.LocalizationService` (routing and replication
-  choose *which* replica computes, never *what*).  Checked across two
-  shard counts x two replica counts.
-* **Fault drill** — with the key's primary replica crashed mid-campaign,
-  failover keeps availability >= 99%, every non-fresh answer is flagged
-  (``degraded`` + ``reason``), and the answers that replicas did serve
-  remain bit-exact.
-
-Throughput/latency per shape and the drill's availability are persisted
-to ``benchmarks/results/BENCH_cluster.json`` (and ``CLUSTER.txt``).
+Throughput and per-request latency per shard count are persisted to
+``benchmarks/results/BENCH_cluster.json`` (and ``CLUSTER.txt``).
 """
 
 import time
 
 import numpy as np
 
-from repro.cluster import (
-    ClusterConfig,
-    FaultPlan,
-    LocalizationCluster,
-    route_key,
-)
+from repro.cluster import ClusterConfig, LocalizationCluster
 from repro.core import NomLocSystem, SystemConfig
 from repro.environment import get_scenario
 from repro.eval import format_table
-from repro.serving import LocalizationService
+from repro.guard import LinkFaultInjector, LinkFaultPlan, gate_records
+from repro.serving import LocalizationRequest, LocalizationService
 
 from conftest import run_once
 
 QUERIES = 40
 PACKETS = 6
-SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]  # (shards, replicas)
+SHARD_COUNTS = (1, 2)
 
 
 def _gather_queries():
+    """Ungated and guard-gated requests for the same seeded lab sites."""
     scenario = get_scenario("lab")
     system = NomLocSystem(scenario, SystemConfig(packets_per_link=PACKETS))
-    sets = []
+    metric = system.config.resolve_metric()
+    injector = LinkFaultInjector(LinkFaultPlan.subcarrier_dropout(0.2), seed=3)
+    ungated, gated = [], []
     for i in range(QUERIES):
         site = scenario.test_sites[i % len(scenario.test_sites)]
         rng = np.random.default_rng(np.random.SeedSequence([7, i]))
-        sets.append(tuple(system.gather_anchors(site, rng)))
-    return scenario, sets
+        records = system.gather_link_records(site, rng)
+        anchors = tuple(r.to_anchor(metric) for r in records)
+        ungated.append(LocalizationRequest(anchors, query_id=f"u{i}"))
+        gate = gate_records(injector.corrupt_batch(records), PACKETS)
+        gated.append(
+            LocalizationRequest(gate.anchors, query_id=f"g{i}", gate=gate)
+        )
+    return scenario, {"ungated": ungated, "gated": gated}
 
 
-def _reference(scenario, anchor_sets):
-    with LocalizationService(scenario.plan.boundary) as service:
-        return service.batch(anchor_sets)
+def _fingerprint(responses):
+    """Everything an answer carries that must match bit for bit."""
+    return [
+        (
+            r.query_id,
+            r.position,
+            r.degraded,
+            r.confidence,
+            r.estimate.relaxation_cost,
+            r.estimate.num_constraints,
+        )
+        for r in responses
+    ]
 
 
-def _run_shape(scenario, anchor_sets, shards, replicas):
-    config = ClusterConfig(num_shards=shards, replicas_per_shard=replicas)
+def _run(scenario, requests, shards):
+    config = ClusterConfig(num_shards=shards)
     with LocalizationCluster(scenario.plan.boundary, config=config) as cluster:
         started = time.perf_counter()
-        responses = cluster.batch(anchor_sets)
+        responses = cluster.batch(requests)
         elapsed = time.perf_counter() - started
         snap = cluster.metrics_snapshot()
     return {
         "responses": responses,
-        "qps": len(anchor_sets) / elapsed,
-        "p50_ms": snap["latency_p50_s"] * 1e3,
-        "p95_ms": snap["latency_p95_s"] * 1e3,
-        "availability": snap["availability"],
-        "degraded": snap["degraded"],
-    }
-
-
-def _run_fault_drill(scenario, anchor_sets):
-    """Crash the routed primary mid-campaign; measure what survives."""
-    config = ClusterConfig(num_shards=1, replicas_per_shard=2)
-    probe = LocalizationCluster(scenario.plan.boundary, config=config)
-    _, order = probe.router.route(
-        route_key(scenario.plan.boundary, probe.localizer_config)
-    )
-    probe.close()
-    plan = FaultPlan.crash(0, order[0], after=len(anchor_sets) // 2)
-    with LocalizationCluster(
-        scenario.plan.boundary, config=config, fault_plan=plan
-    ) as cluster:
-        started = time.perf_counter()
-        responses = cluster.batch(anchor_sets)
-        elapsed = time.perf_counter() - started
-        snap = cluster.metrics_snapshot()
-    return {
-        "responses": responses,
-        "qps": len(anchor_sets) / elapsed,
-        "p50_ms": snap["latency_p50_s"] * 1e3,
-        "p95_ms": snap["latency_p95_s"] * 1e3,
-        "availability": snap["availability"],
-        "answered": snap["answered"],
-        "routed": snap["routed"],
-        "failovers": snap["failovers"],
-        "degraded": snap["degraded"],
-        "crashed_replica": order[0],
+        "qps": len(requests) / elapsed,
+        "latency_p50_ms": snap["latency_p50_s"] * 1e3,
+        "latency_p95_ms": snap["latency_p95_s"] * 1e3,
     }
 
 
 def _cluster_campaign():
-    scenario, anchor_sets = _gather_queries()
-    reference = _reference(scenario, anchor_sets)
-    shapes = {
-        f"{shards}x{replicas}": _run_shape(
-            scenario, anchor_sets, shards, replicas
-        )
-        for shards, replicas in SHAPES
+    scenario, kinds = _gather_queries()
+    with LocalizationService(scenario.plan.boundary) as service:
+        reference = {kind: service.batch(reqs) for kind, reqs in kinds.items()}
+    runs = {
+        shards: {kind: _run(scenario, reqs, shards) for kind, reqs in kinds.items()}
+        for shards in SHARD_COUNTS
     }
-    drill = _run_fault_drill(scenario, anchor_sets)
-    return reference, shapes, drill
+    return reference, runs
 
 
-def test_cluster_bit_exactness_and_fault_drill(
-    benchmark, save_result, save_json
-):
-    reference, shapes, drill = run_once(benchmark, _cluster_campaign)
+def test_cluster_bit_exactness(benchmark, save_result, save_json):
+    reference, runs = run_once(benchmark, _cluster_campaign)
 
     rows = []
-    for shape, r in shapes.items():
-        # The tentpole invariant: no faults -> bit-identical to one
-        # sequential service, whatever the fleet shape.
-        assert r["degraded"] == 0, f"shape {shape} degraded without faults"
-        assert [x.position for x in r["responses"]] == [
-            x.position for x in reference
-        ], f"shape {shape} diverged from the sequential reference"
-        assert r["availability"] == 1.0
-        rows.append(
-            [
-                shape,
-                "-",
-                round(r["qps"], 1),
-                round(r["p50_ms"], 2),
-                round(r["p95_ms"], 2),
-                f"{r['availability']:.1%}",
-            ]
-        )
-
-    # The drill's acceptance bar: >= 99% of queries answered by a
-    # replica despite the crashed primary, nothing silently wrong.
-    availability = drill["availability"]
-    assert availability >= 0.99, (
-        f"fault drill availability {availability:.1%} below 99%"
-    )
-    assert drill["failovers"] >= 1, "crash never triggered a failover"
-    for resp, ref in zip(drill["responses"], reference):
-        if resp.degraded:
-            assert resp.reason, "degraded answer missing its reason flag"
-        else:
-            assert resp.position == ref.position
-    rows.append(
-        [
-            "1x2",
-            f"crash r{drill['crashed_replica']}@{QUERIES // 2}",
-            round(drill["qps"], 1),
-            round(drill["p50_ms"], 2),
-            round(drill["p95_ms"], 2),
-            f"{availability:.1%}",
-        ]
-    )
+    ledger = {}
+    for shards, by_kind in runs.items():
+        entry = {}
+        for kind, r in by_kind.items():
+            # The invariant: bit-identical to one sequential service,
+            # whatever the shard count, gated or not.
+            assert _fingerprint(r["responses"]) == _fingerprint(
+                reference[kind]
+            ), f"{shards} shard(s), {kind}: diverged from the reference"
+            entry[kind] = {
+                "qps": r["qps"],
+                "latency_p50_ms": r["latency_p50_ms"],
+                "latency_p95_ms": r["latency_p95_ms"],
+                "bit_exact": True,
+            }
+            rows.append(
+                [
+                    shards,
+                    kind,
+                    round(r["qps"], 1),
+                    round(r["latency_p50_ms"], 2),
+                    round(r["latency_p95_ms"], 2),
+                    "yes",
+                ]
+            )
+        ledger[str(shards)] = entry
 
     table = format_table(
-        ["shape", "fault", "qps", "p50(ms)", "p95(ms)", "availability"], rows
+        ["shards", "queries", "qps", "p50(ms)", "p95(ms)", "bit-exact"], rows
     )
     save_result("CLUSTER", table)
-    save_json(
-        "cluster",
-        {
-            "queries": QUERIES,
-            "shapes": {
-                shape: {
-                    "qps": r["qps"],
-                    "p50_ms": r["p50_ms"],
-                    "p95_ms": r["p95_ms"],
-                    "availability": r["availability"],
-                    "bit_exact": True,
-                }
-                for shape, r in shapes.items()
-            },
-            "fault_drill": {
-                "fault": "primary crash mid-campaign",
-                "crashed_replica": drill["crashed_replica"],
-                "after_query": QUERIES // 2,
-                "qps": drill["qps"],
-                "p50_ms": drill["p50_ms"],
-                "p95_ms": drill["p95_ms"],
-                "availability": drill["availability"],
-                "answered": drill["answered"],
-                "routed": drill["routed"],
-                "failovers": drill["failovers"],
-                "degraded_flagged": drill["degraded"],
-            },
-        },
-    )
+    save_json("cluster", {"queries": QUERIES, "shards": ledger})
     print()
     print(table)

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster",
-        help="simulated cluster run: shard + replicate the service, "
-        "optionally inject faults, report cluster metrics",
+        help="route queries by topology key onto sharded services, "
+        "report cluster metrics",
     )
     _add_serving_args(cluster)
     cluster.add_argument(
@@ -148,37 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2, help="number of shards"
     )
     cluster.add_argument(
-        "--replicas", type=int, default=2, help="replicas per shard"
-    )
-    cluster.add_argument(
         "--timeout", type=float, default=None, help="per-query deadline (s)"
-    )
-    cluster.add_argument(
-        "--heartbeat-every",
-        type=int,
-        default=8,
-        help="heartbeat sweep every N queries (0 = never)",
-    )
-    cluster.add_argument(
-        "--crash",
-        metavar="S:R:AFTER[:UNTIL]",
-        action="append",
-        default=[],
-        help="crash replica R of shard S after the AFTER-th query "
-        "(optionally recovering at UNTIL); repeatable",
-    )
-    cluster.add_argument(
-        "--stale",
-        metavar="S:R:AFTER[:UNTIL]",
-        action="append",
-        default=[],
-        help="cut replica R of shard S off from topology updates; "
-        "repeatable",
     )
     cluster.add_argument(
         "--selftest",
         action="store_true",
-        help="verify replica-served answers match a single sequential "
+        help="verify cluster answers match a single sequential "
         "service bit-for-bit",
     )
 
@@ -327,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gateway.add_argument(
         "--shards", type=int, default=1, help="cluster shards"
-    )
-    gateway.add_argument(
-        "--replicas", type=int, default=1, help="replicas per shard"
     )
     gateway.add_argument(
         "--selftest",
@@ -840,57 +812,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 130 if interrupted else 0
 
 
-def _parse_fault_specs(specs, kind):
-    """``S:R:AFTER[:UNTIL]`` strings → one merged :class:`FaultPlan`."""
-    from .cluster import FaultPlan
-
-    plan = FaultPlan()
-    builder = {"crash": FaultPlan.crash, "stale": FaultPlan.stale_topology}[
-        kind
-    ]
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(
-                f"bad --{kind} spec {spec!r} (want S:R:AFTER[:UNTIL])"
-            )
-        shard, replica, after = (int(p) for p in parts[:3])
-        until = int(parts[3]) if len(parts) == 4 else None
-        plan = plan.plus(builder(shard, replica, after, until))
-    return plan
-
-
 def _print_cluster_metrics(snapshot: dict) -> None:
     """Render a cluster metrics snapshot as aligned key/value lines."""
     print(
-        f"  availability {snapshot['availability']:.1%} "
-        f"({snapshot['answered']}/{snapshot['routed']} answered, "
-        f"{snapshot['unavailable']} unavailable) | "
-        f"degraded {snapshot['degraded']} "
-        f"(stale {snapshot['stale_flagged']})"
-    )
-    print(
-        f"  failovers {snapshot['failovers']}, retries "
-        f"{snapshot['retries']} (denied {snapshot['retry_denied']}), "
-        f"hedges {snapshot['hedges']}, heartbeat rounds "
-        f"{snapshot['heartbeat_rounds']}"
-    )
-    print(
-        f"  latency p50 {snapshot['latency_p50_s'] * 1e3:.1f} ms, "
+        f"  routed {snapshot['routed']} | degraded {snapshot['degraded']} | "
+        f"latency p50 {snapshot['latency_p50_s'] * 1e3:.1f} ms, "
         f"p95 {snapshot['latency_p95_s'] * 1e3:.1f} ms | "
         f"throughput {snapshot['throughput_qps']:.1f} q/s"
     )
     fleet = snapshot["services"]
     print(
-        f"  fleet: {fleet['replica_count']} replicas, "
+        f"  fleet: {fleet['shard_count']} shards, "
         f"{fleet['completed']} queries served, "
         f"cache hit rate {fleet['cache_hit_rate']:.0%}, "
         f"shed {fleet['queue_rejected_total']}"
     )
-    states = ", ".join(
-        f"{rid}={state}" for rid, state in sorted(snapshot["states"].items())
-    )
-    print(f"  states: {states}")
     spans = snapshot.get("spans")
     if spans:
         from .obs import format_stage_table
@@ -908,13 +844,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if args.queries < 1:
             raise ValueError("--queries must be at least 1")
         scenario, system, queries = _serving_setup(args)
-        plan = _parse_fault_specs(args.crash, "crash").plus(
-            _parse_fault_specs(args.stale, "stale")
-        )
         config = ClusterConfig(
             num_shards=args.shards,
-            replicas_per_shard=args.replicas,
-            heartbeat_every=args.heartbeat_every,
             serving=ServingConfig(
                 max_workers=args.workers,
                 lp_batch=args.lp_batch,
@@ -927,17 +858,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _trace_tracer(args)
-    faulted = f", {len(plan.faults)} faults scripted" if plan.faults else ""
     print(
-        f"cluster of {args.shards} shard(s) x {args.replicas} replica(s) "
-        f"serving {args.queries} queries against {scenario.name}{faulted}"
+        f"cluster of {args.shards} shard(s) "
+        f"serving {args.queries} queries against {scenario.name}"
     )
     batch = list(queries(args.queries))
     responses = []
     interrupted = False
-    cluster = LocalizationCluster(
-        scenario.plan.boundary, config=config, fault_plan=plan
-    )
+    cluster = LocalizationCluster(scenario.plan.boundary, config=config)
     try:
         responses = cluster.batch([anchors for _, anchors in batch])
     except KeyboardInterrupt:
@@ -969,27 +897,19 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             )
             return 1
         print(
-            "SELFTEST OK: replica-served answers identical to a single "
+            "SELFTEST OK: cluster answers identical to a single "
             "sequential service"
         )
     return 0
 
 
 def _cluster_selftest(scenario, batch, responses) -> int:
-    """Count replica-served answers differing from the direct localizer.
-
-    Fallback answers (``reason == "unavailable"``) are exempt — they are
-    flagged as not being SP estimates — but *stale or degraded* replica
-    answers must still match what the localizer computes, since staleness
-    only flags the topology version, never changes the solve.
-    """
+    """Count cluster answers differing from the direct localizer."""
     from .core import NomLocLocalizer
 
     localizer = NomLocLocalizer(scenario.plan.boundary)
     mismatches = 0
     for (_, anchors), resp in zip(batch, responses):
-        if resp.reason == "unavailable":
-            continue
         direct = localizer.locate(anchors)
         if resp.estimate is None or resp.position != direct.position:
             mismatches += 1
@@ -1363,7 +1283,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             port=args.port,
             db_path=args.db,
             num_shards=args.shards,
-            replicas_per_shard=args.replicas,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1376,8 +1295,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"gateway listening on http://{server.host}:{server.port} "
-            f"(scenario {scenario.name}, cluster "
-            f"{config.num_shards}x{config.replicas_per_shard}, "
+            f"(scenario {scenario.name}, {config.num_shards} shard(s), "
             f"ledger {config.db_path})",
             flush=True,
         )

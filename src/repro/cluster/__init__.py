@@ -1,51 +1,26 @@
-"""Cluster layer: sharded, replicated, fault-tolerant localization.
+"""Cluster layer: topology-keyed routing of queries onto shards.
 
-The distribution story over :mod:`repro.serving` (see DESIGN.md,
-"Cluster architecture"): a :class:`LocalizationCluster` runs a fleet of
-:class:`~repro.serving.LocalizationService` replicas behind a
-deterministic consistent-hash router.  Topology keys pin each venue's
-queries to one shard (hot constraint caches), N-way replica groups give
-each shard redundancy, a heartbeat-driven health state machine feeds
-automatic failover, and budget-capped retries with backoff + optional
-hedging bound the blast radius of a dying replica.  A scripted
-:class:`FaultPlan` injects crashes, latency spikes, queue-full storms
-and stale-topology windows so all of it is provable:
-
-* no faults → answers **bit-identical** to one sequential service, for
-  any shard/replica count;
-* faults → availability degrades gracefully and every non-fresh answer
-  is flagged, never silently wrong.
+A :class:`LocalizationCluster` routes each query by its topology key
+(:func:`route_key`, the serving cache's identity) through a
+deterministic consistent-hash :class:`ShardRouter` to one
+:class:`~repro.serving.LocalizationService` per shard, so each venue's
+queries keep one shard's constraint caches hot, and hands each run of
+same-shard requests to that service's batch path.  Routing chooses
+*which* service computes, never *what*: answers are **bit-identical**
+to one sequential service for any shard count (see DESIGN.md, "Cluster
+architecture").
 """
 
-from .cluster import (
-    ClusterConfig,
-    ClusterReplica,
-    ClusterResponse,
-    LocalizationCluster,
-)
-from .faults import Fault, FaultInjector, FaultKind, FaultPlan, ReplicaCrashed
-from .health import HealthMonitor, ReplicaState
+from .cluster import ClusterConfig, ClusterResponse, LocalizationCluster
 from .metrics import ClusterMetrics, merge_service_snapshots
-from .retry import RetryBudget, RetryPolicy, backoff_s
 from .router import ShardRouter, route_key, stable_hash
 
 __all__ = [
-    "backoff_s",
     "ClusterConfig",
     "ClusterMetrics",
-    "ClusterReplica",
     "ClusterResponse",
-    "Fault",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "HealthMonitor",
     "LocalizationCluster",
     "merge_service_snapshots",
-    "ReplicaCrashed",
-    "ReplicaState",
-    "RetryBudget",
-    "RetryPolicy",
     "route_key",
     "ShardRouter",
     "stable_hash",

@@ -12,9 +12,8 @@ keys instead of reshuffling every cache.
 
 Everything here is process-independent: hashes are BLAKE2b over
 ``repr`` — never Python's salted ``hash()`` — so two routers built with
-the same parameters agree on every placement, in any process, forever.
-That determinism is what the cluster's bit-exactness invariant stands
-on.
+the same shard count agree on every placement, in any process, forever,
+so a venue's caches stay on one shard across restarts.
 """
 
 from __future__ import annotations
@@ -47,41 +46,28 @@ def route_key(area: Polygon, config: LocalizerConfig | None = None) -> tuple:
     return topology_key(area, config or LocalizerConfig())
 
 
+#: Virtual nodes per shard on the ring: enough for a smooth key
+#: distribution and a ~1/num_shards remap fraction on resize.
+VNODES_PER_SHARD = 64
+
+
 class ShardRouter:
-    """Consistent-hash ring mapping routing keys to shards + replicas.
+    """Consistent-hash ring mapping routing keys to shards.
 
     Parameters
     ----------
     num_shards:
         Number of shards (disjoint topology-key partitions).
-    replicas_per_shard:
-        Size of each shard's replica group; :meth:`replica_order` spreads
-        primaries across the group per key so one replica is not the
-        primary for every key.
-    vnodes_per_shard:
-        Virtual nodes per shard on the ring; more vnodes → smoother key
-        distribution and smaller remap fractions on resize.
     """
 
-    def __init__(
-        self,
-        num_shards: int = 1,
-        replicas_per_shard: int = 1,
-        vnodes_per_shard: int = 64,
-    ) -> None:
+    def __init__(self, num_shards: int = 1) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
-        if replicas_per_shard < 1:
-            raise ValueError("replicas_per_shard must be positive")
-        if vnodes_per_shard < 1:
-            raise ValueError("vnodes_per_shard must be positive")
         self.num_shards = num_shards
-        self.replicas_per_shard = replicas_per_shard
-        self.vnodes_per_shard = vnodes_per_shard
         ring = sorted(
             (stable_hash(("shard", shard, "vnode", vnode)), shard)
             for shard in range(num_shards)
-            for vnode in range(vnodes_per_shard)
+            for vnode in range(VNODES_PER_SHARD)
         )
         self._ring_hashes = [h for h, _ in ring]
         self._ring_shards = [s for _, s in ring]
@@ -93,24 +79,6 @@ class ShardRouter:
             self._ring_hashes
         )
         return self._ring_shards[index]
-
-    def replica_order(self, key) -> tuple[int, ...]:
-        """Failover preference order of replica indices for ``key``.
-
-        A key-derived rotation of ``0..replicas_per_shard-1``: each key
-        has one stable primary (so its constraint caches warm on one
-        replica) and a deterministic failover sequence through the rest
-        of the group.
-        """
-        start = stable_hash((key, "replica")) % self.replicas_per_shard
-        return tuple(
-            (start + offset) % self.replicas_per_shard
-            for offset in range(self.replicas_per_shard)
-        )
-
-    def route(self, key) -> tuple[int, tuple[int, ...]]:
-        """``(shard, replica preference order)`` for one routing key."""
-        return self.shard_for(key), self.replica_order(key)
 
     def placement(self, keys: Sequence) -> dict[int, int]:
         """Keys-per-shard histogram (diagnostics / balance tests)."""

@@ -240,9 +240,10 @@ def response_to_dict(response: Any) -> dict:
     """A serving/cluster response as its wire dict.
 
     Works for both :class:`~repro.serving.LocalizationResponse` and
-    :class:`~repro.cluster.ClusterResponse` (the cluster's extra routing
-    fields ride along when present).  The estimate's position floats are
-    the exact doubles the solver produced.
+    :class:`~repro.cluster.ClusterResponse`; a cluster answer carries
+    the service answer's keys plus ``shard``, the shard that served it.
+    The estimate's position floats are the exact doubles the solver
+    produced.
     """
     wire = {
         "v": PROTOCOL_VERSION,
@@ -261,10 +262,9 @@ def response_to_dict(response: Any) -> dict:
         wire["relaxation_cost"] = estimate.relaxation_cost
         if estimate.degradation_reasons:
             wire["degradation_reasons"] = list(estimate.degradation_reasons)
-    for field in ("shard", "replica", "attempts", "failovers", "hedged"):
-        value = getattr(response, field, None)
-        if value is not None:
-            wire[field] = value
+    shard = getattr(response, "shard", None)
+    if shard is not None:
+        wire["shard"] = shard
     return wire
 
 

@@ -5,7 +5,7 @@ submit measurements or receive estimates.  One asyncio event loop owns
 all connections (HTTP keep-alive + WebSocket streams); every solve and
 every ledger write hops across the
 :class:`~repro.gateway.bridge.SolverBridge` — solves into the
-sharded/replicated :class:`~repro.cluster.LocalizationCluster`, writes
+topology-sharded :class:`~repro.cluster.LocalizationCluster`, writes
 into the :class:`~repro.gateway.store.MeasurementLedger` (WAL + fsync)
 — and every measurement batch is acked only after the commit covering
 it returned, so the ingest path is durable across a SIGKILL.
@@ -99,8 +99,8 @@ class GatewayConfig:
         (read the bound one off :attr:`GatewayServer.port`).
     db_path:
         Ledger file; ``":memory:"`` serves without durability (tests).
-    num_shards / replicas_per_shard:
-        Shape of the backing localization cluster.
+    num_shards:
+        Shards of the backing localization cluster.
     max_inflight:
         Admission bound: the most pipelined requests outstanding on one
         connection; later ones wait unread in the socket.
@@ -127,7 +127,6 @@ class GatewayConfig:
     port: int = 0
     db_path: str = "gateway.db"
     num_shards: int = 1
-    replicas_per_shard: int = 1
     max_inflight: int = 64
     synchronous: str = "FULL"
     drain_timeout_s: float = 10.0
@@ -137,8 +136,8 @@ class GatewayConfig:
     ws_idle_pings: int = 2
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1 or self.replicas_per_shard < 1:
-            raise ValueError("cluster shape must be at least 1x1")
+        if self.num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if self.drain_timeout_s <= 0:
@@ -174,7 +173,7 @@ class GatewayServer:
     area:
         Default venue polygon served by the backing cluster.
     localizer_config / serving_config:
-        SP and per-replica serving knobs, passed through to the cluster
+        SP and per-shard serving knobs, passed through to the cluster
         (default :data:`DEFAULT_SERVING`).  ``serving_config.lp_batch``
         also caps how many queued requests one coalesced solve takes.
     config:
@@ -204,11 +203,7 @@ class GatewayServer:
         self.cluster = LocalizationCluster(
             area,
             localizer_config,
-            ClusterConfig(
-                num_shards=self.config.num_shards,
-                replicas_per_shard=self.config.replicas_per_shard,
-                serving=serving,
-            ),
+            ClusterConfig(num_shards=self.config.num_shards, serving=serving),
         )
         self.ledger = MeasurementLedger(
             self.config.db_path, synchronous=self.config.synchronous

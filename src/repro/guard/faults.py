@@ -1,9 +1,8 @@
 """Measurement-layer fault injection: corrupting CSI where radios fail.
 
-The cluster's :mod:`repro.cluster.faults` drills *serving* failures
-(crashed replicas, shed queues); this module drills the layer below —
-the measurements themselves.  A :class:`LinkFaultPlan` scripts the
-corruption modes a real CSI pipeline sees, and a seeded
+This module drills the measurements themselves, the layer below
+serving.  A :class:`LinkFaultPlan` scripts the corruption modes a real
+CSI pipeline sees, and a seeded
 :class:`LinkFaultInjector` applies them to
 :class:`~repro.core.LinkRecord` batches at the channel boundary, before
 any PDP estimation:
@@ -132,8 +131,7 @@ class LinkFault:
 class LinkFaultPlan:
     """An immutable script of measurement faults; empty by default.
 
-    Mirrors the cluster's :class:`~repro.cluster.faults.FaultPlan`
-    idiom — constructors read like the drill they describe::
+    Constructors read like the drill they describe::
 
         plan = LinkFaultPlan.nan_burst(0.3, ap="AP2")
         plan = plan.plus(LinkFaultPlan.outage(1.0, ap="AP4"))

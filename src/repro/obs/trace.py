@@ -238,7 +238,7 @@ class Tracer:
         """Re-home already-finished spans under a new parent.
 
         The in-process sibling of :meth:`adopt`: spans recorded on a
-        *different thread* of the same tracer (a hedged cluster attempt,
+        *different thread* of the same tracer (the gateway's solver thread,
         a worker-pool task) start as thread-local roots, because the
         per-thread active stack cannot see the caller's span.  Once the
         caller knows which root spans belong to it, it re-parents them —

@@ -63,9 +63,8 @@ def weighted_centroid(anchors: Sequence[Anchor]) -> Point:
 
     The same estimator as the
     :class:`~repro.baselines.WeightedCentroidLocalizer` baseline
-    (exponent 1): coarse, calibration-free, O(anchors).  Shared by the
-    service's degraded path and the cluster's all-replicas-down fallback;
-    callers project the result into their venue.
+    (exponent 1): coarse, calibration-free, O(anchors).  The service's
+    degraded path projects the result into its venue.
     """
     total = sum(a.pdp for a in anchors)
     if total <= 0:  # PDPs are validated positive; belt and braces
@@ -296,7 +295,7 @@ class LocalizationService:
     def drain(self, timeout_s: float | None = None) -> dict:
         """Graceful shutdown: stop admissions, finish in-flight, flush.
 
-        The clean replica-shutdown path: new submissions raise
+        The clean shutdown path: new submissions raise
         :class:`ServiceClosedError` immediately, every already-admitted
         query runs to completion, and the final metrics snapshot is
         returned before the worker processes are torn down.  Idempotent
@@ -364,7 +363,7 @@ class LocalizationService:
         """Serve one already-built request synchronously.
 
         The request-preserving sibling of :meth:`locate` — callers that
-        construct a :class:`LocalizationRequest` (the cluster's replicas,
+        construct a :class:`LocalizationRequest` (the cluster's shards,
         gated pipelines) route through here so optional fields like
         ``gate`` survive the hop.
         """

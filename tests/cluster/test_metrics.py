@@ -6,35 +6,19 @@ from repro.cluster import ClusterMetrics, merge_service_snapshots
 
 
 class TestClusterMetrics:
-    def test_availability_counts_only_fallbacks_against(self):
+    def test_routed_and_degraded_counts(self):
         metrics = ClusterMetrics()
         metrics.record_query(0.01)
-        metrics.record_query(0.01, degraded=True, stale=True)
-        metrics.record_query(0.05, degraded=True, unavailable=True)
+        metrics.record_query(0.05, degraded=True)
         snap = metrics.snapshot()
-        assert snap["routed"] == 3
-        assert snap["answered"] == 2
-        assert snap["unavailable"] == 1
-        assert snap["degraded"] == 2
-        assert snap["stale_flagged"] == 1
-        assert snap["availability"] == 2 / 3
+        assert snap["routed"] == 2
+        assert snap["degraded"] == 1
+        assert snap["latency_p50_s"] > 0
 
-    def test_failover_retry_hedge_accounting(self):
-        metrics = ClusterMetrics()
-        metrics.record_query(0.01, failovers=2, retries=1, hedged=True)
-        metrics.record_retry_denied()
-        metrics.record_heartbeat_round()
-        snap = metrics.snapshot()
-        assert snap["failovers"] == 2
-        assert snap["retries"] == 1
-        assert snap["hedges"] == 1
-        assert snap["retry_denied"] == 1
-        assert snap["heartbeat_rounds"] == 1
-
-    def test_empty_cluster_is_fully_available(self):
+    def test_empty_cluster_has_routed_nothing(self):
         snap = ClusterMetrics().snapshot()
-        assert snap["availability"] == 1.0
         assert snap["routed"] == 0
+        assert snap["degraded"] == 0
 
 
 class TestMergeServiceSnapshots:
@@ -60,11 +44,11 @@ class TestMergeServiceSnapshots:
         assert merged["queue_depth"] == 7
         assert merged["queue_rejected_total"] == 1
         assert merged["cache_hit_rate"] == 6 / 8
-        assert merged["replica_count"] == 2
+        assert merged["shard_count"] == 2
 
     def test_empty_fleet(self):
         merged = merge_service_snapshots([])
-        assert merged["replica_count"] == 0
+        assert merged["shard_count"] == 0
         assert merged["cache_hit_rate"] == 0.0
 
 
@@ -72,12 +56,12 @@ class TestClusterMetricsToJson:
     def test_to_json_dumps_cleanly_with_stable_order(self):
         metrics = ClusterMetrics()
         metrics.record_query(0.01)
-        metrics.record_query(0.02, degraded=True, hedged=True)
+        metrics.record_query(0.02, degraded=True)
         doc = metrics.to_json()
         assert doc == json.loads(json.dumps(doc, sort_keys=True))
         assert list(doc) == sorted(doc)
         assert doc["routed"] == 2
-        assert doc["hedges"] == 1
+        assert doc["degraded"] == 1
 
     def test_to_json_matches_snapshot_values(self):
         metrics = ClusterMetrics()
@@ -85,4 +69,4 @@ class TestClusterMetricsToJson:
         snap = metrics.snapshot()
         doc = metrics.to_json()
         assert doc["latency_p95_s"] == snap["latency_p95_s"]  # exact floats
-        assert doc["availability"] == snap["availability"]
+        assert doc["routed"] == snap["routed"] == 1

@@ -204,8 +204,8 @@ class TestMetricsEndpoint:
         assert gateway["ledger"]["batches"] == 1
         assert gateway["ledger"]["pending"] == 0
         cluster = doc["cluster"]
-        assert cluster["answered"] >= 2
-        assert "shard0/replica0" in cluster["replicas"]
+        assert cluster["routed"] >= 2
+        assert cluster["shards"]["shard0"]["completed"] >= 2
 
 
 class TestStreaming:

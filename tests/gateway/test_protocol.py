@@ -182,3 +182,22 @@ class TestGateRoundtrip:
             assert ours.pdp == theirs.pdp  # exact doubles
         assert rebuilt.quality_weights == result.quality_weights
         assert rebuilt.verdicts == result.verdicts
+
+
+class TestResponseWire:
+    def test_cluster_answer_is_service_answer_plus_shard(self, lab, anchor_sets):
+        from repro.cluster import ClusterConfig, LocalizationCluster
+        from repro.serving import LocalizationService
+
+        anchors = anchor_sets[0]
+        with LocalizationService(lab.plan.boundary) as service:
+            served = protocol.response_to_dict(service.locate(anchors, "q1"))
+        with LocalizationCluster(
+            lab.plan.boundary, config=ClusterConfig(num_shards=2)
+        ) as cluster:
+            routed_response = cluster.locate(anchors, "q1")
+        routed = protocol.response_to_dict(routed_response)
+        assert set(routed) == set(served) | {"shard"}
+        assert routed["shard"] == routed_response.shard
+        for key in set(served) - {"latency_s"}:
+            assert routed[key] == served[key], key

@@ -198,46 +198,31 @@ class TestClusterCommand:
     def test_selftest_against_sequential_service(self, capsys):
         rc = main(
             ["cluster", "lab", "--queries", "6", "--packets", "3",
-             "--shards", "2", "--replicas", "2", "--selftest"]
+             "--shards", "2", "--selftest"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "2 shard(s) x 2 replica(s)" in out
-        assert "availability 100.0%" in out
+        assert "cluster of 2 shard(s)" in out
+        assert "routed 6 | degraded 0" in out
         assert "SELFTEST OK" in out
-
-    def test_crash_drill_fails_over(self, capsys):
-        from repro.cluster import ShardRouter, route_key
-        from repro.environment import get_scenario
-
-        # Crash the primary the router actually picks for the lab venue.
-        key = route_key(get_scenario("lab").plan.boundary)
-        shard, order = ShardRouter(1, 2).route(key)
-        rc = main(
-            ["cluster", "lab", "--queries", "5", "--packets", "3",
-             "--shards", "1", "--replicas", "2",
-             "--crash", f"{shard}:{order[0]}:0", "--selftest"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "1 faults scripted" in out
-        assert "availability 100.0%" in out
-        assert "failovers 1" in out
-        assert "SELFTEST OK" in out
-
-    def test_bad_fault_spec_rejected(self, capsys):
-        assert main(["cluster", "lab", "--crash", "bogus"]) == 2
-        assert "bad --crash spec" in capsys.readouterr().err
 
     def test_parser_accepts_cluster_flags(self):
         args = build_parser().parse_args(
-            ["cluster", "lab", "--shards", "3", "--replicas", "2",
-             "--stale", "0:1:4:9", "--heartbeat-every", "5"]
+            ["cluster", "lab", "--shards", "3", "--queries", "5",
+             "--timeout", "0.5", "--selftest"]
         )
         assert args.shards == 3
-        assert args.replicas == 2
-        assert args.stale == ["0:1:4:9"]
-        assert args.heartbeat_every == 5
+        assert args.queries == 5
+        assert args.timeout == 0.5
+        assert args.selftest
+
+    @pytest.mark.parametrize(
+        "flag", ["--replicas", "--heartbeat-every", "--crash", "--stale"]
+    )
+    def test_removed_fault_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["cluster", "lab", flag, "1"])
+        assert exc.value.code == 2
 
 
 class TestGuardCommand:
@@ -405,15 +390,13 @@ class TestGatewayCommand:
     def test_parser_accepts_gateway_flags(self):
         args = build_parser().parse_args(
             ["gateway", "lobby", "--host", "0.0.0.0", "--port", "8080",
-             "--db", "/tmp/x.db", "--shards", "2", "--replicas", "3",
-             "--selftest"]
+             "--db", "/tmp/x.db", "--shards", "2", "--selftest"]
         )
         assert args.scenario == "lobby"
         assert args.host == "0.0.0.0"
         assert args.port == 8080
         assert args.db == "/tmp/x.db"
         assert args.shards == 2
-        assert args.replicas == 3
         assert args.selftest
 
     def test_gateway_defaults(self):
@@ -421,7 +404,7 @@ class TestGatewayCommand:
         assert args.scenario == "lab"
         assert args.port == 0
         assert args.db == "gateway.db"
-        assert args.shards == 1 and args.replicas == 1
+        assert args.shards == 1
 
     def test_selftest_round_trip(self, capsys):
         rc = main(["gateway", "lab", "--selftest", "--packets", "3"])
@@ -438,3 +421,8 @@ class TestGatewayCommand:
     def test_bad_cluster_shape_rejected(self, capsys):
         assert main(["gateway", "lab", "--shards", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_replicas_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["gateway", "lab", "--replicas", "2"])
+        assert exc.value.code == 2

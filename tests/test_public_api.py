@@ -83,6 +83,12 @@ class TestRemovedNames:
             ("repro.geometry", "clip_polygon"),
             ("repro.geometry.halfspace", "clip_polygon"),
             ("repro.geometry.halfspace", "_SCALAR_LANES"),
+            ("repro.cluster", "ClusterReplica"),
+            ("repro.cluster", "FaultPlan"),
+            ("repro.cluster", "HealthMonitor"),
+            ("repro.cluster", "ReplicaCrashed"),
+            ("repro.cluster", "RetryBudget"),
+            ("repro.cluster", "RetryPolicy"),
         ],
     )
     def test_not_exported(self, module_name, name):
@@ -97,6 +103,10 @@ class TestRemovedNames:
             ("repro.core.NomLocLocalizer", "solve_piece"),
             ("repro.core.NomLocLocalizer", "_solution_from_relaxation"),
             ("repro.channel.CSISynthesizer", "synthesize_batch_scalar"),
+            ("repro.cluster.LocalizationCluster", "heartbeat"),
+            ("repro.cluster.LocalizationCluster", "replica_states"),
+            ("repro.cluster.LocalizationCluster", "note_topology_change"),
+            ("repro.cluster.ShardRouter", "replica_order"),
         ],
     )
     def test_method_removed(self, class_path, attr):
@@ -119,6 +129,16 @@ class TestRemovedNames:
         names = {f.name for f in fields(ServingConfig)}
         assert not names & {"worker_mode", "parallel_pieces"}
         assert len(names) == 10
+
+    def test_cluster_configs_have_no_replica_or_fault_knobs(self):
+        from dataclasses import fields
+
+        from repro.cluster import ClusterConfig
+        from repro.gateway import GatewayConfig
+
+        cluster = {f.name for f in fields(ClusterConfig)}
+        assert cluster == {"num_shards", "serving", "latency_window"}
+        assert "replicas_per_shard" not in {f.name for f in fields(GatewayConfig)}
 
 
 class TestVersioning:
