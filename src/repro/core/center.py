@@ -118,9 +118,9 @@ def region_centers_batch(
     Bit-identical to calling :func:`region_center` per region with the
     matching ``fallback`` and a precomputed ``region`` argument: empty
     regions fall back to their LP feasible point, CENTROID takes each
-    polygon's exact centroid, and the LP-based centres (CHEBYSHEV via the
-    lockstep :func:`~repro.optimize.chebyshev_center_batch`, ANALYTIC via
-    the scalar barrier solve) run on each region's own edge rows with the
+    polygon's exact centroid, and the LP-based centres (CHEBYSHEV via
+    :func:`~repro.optimize.chebyshev_center_batch`, ANALYTIC via the
+    barrier solve) run on each region's own edge rows with the
     same thin-region centroid fallback.
     """
     centers: list[Point | None] = [None] * len(regions)

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..geometry import HalfSpace
-from ..optimize import LPStatus, solve_lp, solve_lp_batch
-from ..optimize.linprog import InequalityLP
+from ..optimize import relaxation_dual_batch
 from .constraints import ConstraintSystem
 
 __all__ = ["RelaxationResult", "solve_relaxation", "solve_relaxation_batch"]
@@ -93,126 +92,37 @@ class RelaxationResult:
         ]
 
 
-#: Row count beyond which the dense from-scratch tableau becomes the
-#: bottleneck and the solve is routed to a sparse interior-point backend.
-#: Paper-scale deployments (4 APs + a handful of nomadic sites) stay well
-#: below this.
-_LARGE_SYSTEM_ROWS = 80
-
-
 def solve_relaxation(system: ConstraintSystem) -> RelaxationResult:
-    """Solve Eq. 19 for a constraint system.
-
-    Paper-scale systems (a handful of APs plus nomadic sites: tens of
-    rows) are solved by the from-scratch two-phase simplex.  Large
-    systems — many nomadic APs or long site histories — are routed to a
-    sparse interior-point backend (scipy's HiGHS), matching the paper's
-    own reliance on an interior-point solver for scalability
-    (Sec. IV-B4).  Both paths solve the identical LP; tests cross-check
-    them on shared instances.
+    """Solve Eq. 19 for one constraint system: a batch of one.
 
     Raises
     ------
     ValueError
         If the system is empty.
     RuntimeError
-        If the LP solver fails — it should not, since the relaxed problem
-        is always feasible (any ``z`` works with big enough ``t``) and
-        bounded below by 0.
+        If the solver breaks down numerically — it should not, since the
+        relaxed problem is always feasible (any ``z`` works with big
+        enough ``t``) and bounded below by 0.
     """
-    if len(system) == 0:
-        raise ValueError("cannot relax an empty constraint system")
-    a, b, w = system.matrices()
-    m = len(system)
-
-    if m > _LARGE_SYSTEM_ROWS:
-        return _solve_relaxation_sparse(system, a, b, w)
-
-    # Variables: [z_x, z_y (free), t_1..t_m (nonneg)].
-    c = np.concatenate([[0.0, 0.0], w])
-    a_lp = np.hstack([a, -np.eye(m)])
-    nonneg = np.array([False, False] + [True] * m)
-
-    result = solve_lp(c, a_lp, b, nonneg)
-    if result.status is not LPStatus.OPTIMAL:
-        raise RuntimeError(
-            f"relaxation LP unexpectedly failed: {result.status} "
-            f"({result.message})"
-        )
-    z = result.x[:2]
-    t = np.maximum(result.x[2:], 0.0)
-    return RelaxationResult(z, t, float(result.objective), system)
+    return solve_relaxation_batch([system])[0]
 
 
 def solve_relaxation_batch(
     systems: Sequence[ConstraintSystem],
 ) -> list[RelaxationResult]:
-    """Solve Eq. 19 for many constraint systems in stacked NumPy passes.
+    """Solve Eq. 19 for many constraint systems in one stacked pass.
 
-    Systems are grouped by row count (the stacked-tableau shape) and each
-    group is handed to :func:`~repro.optimize.solve_lp_batch`; singleton
-    groups and systems above :data:`_LARGE_SYSTEM_ROWS` fall back to
-    :func:`solve_relaxation`.  Every returned
-    :class:`RelaxationResult` is **bit-identical** to what
-    :func:`solve_relaxation` produces for that system alone — the LP
-    construction is the same code and the batched simplex replays each
-    problem's scalar pivot sequence (see :mod:`repro.optimize.batched`).
+    Every system's LP is solved through its two-row dual
+    (:func:`~repro.optimize.relaxation_dual_batch`), whatever its row
+    count: lanes of different lengths share one padded stack, and each
+    lane's answer is bit-identical to solving its system alone.
     """
-    results: list[RelaxationResult | None] = [None] * len(systems)
-    groups: dict[int, list[int]] = {}
-    for i, system in enumerate(systems):
-        m = len(system)
-        if m == 0:
+    problems = []
+    for system in systems:
+        if len(system) == 0:
             raise ValueError("cannot relax an empty constraint system")
-        if m > _LARGE_SYSTEM_ROWS:
-            results[i] = solve_relaxation(system)
-        else:
-            groups.setdefault(m, []).append(i)
-    for m, idxs in groups.items():
-        if len(idxs) == 1:
-            results[idxs[0]] = solve_relaxation(systems[idxs[0]])
-            continue
-        nonneg = np.array([False, False] + [True] * m)
-        neg_eye = -np.eye(m)  # shared across the group: hstack copies it
-        problems = []
-        for i in idxs:
-            a, b, w = systems[i].matrices()
-            c = np.concatenate([[0.0, 0.0], w])
-            a_lp = np.hstack([a, neg_eye])
-            problems.append(InequalityLP(c, a_lp, b, nonneg))
-        for i, result in zip(idxs, solve_lp_batch(problems)):
-            if result.status is not LPStatus.OPTIMAL:
-                raise RuntimeError(
-                    f"relaxation LP unexpectedly failed: {result.status} "
-                    f"({result.message})"
-                )
-            z = result.x[:2]
-            t = np.maximum(result.x[2:], 0.0)
-            results[i] = RelaxationResult(
-                z, t, float(result.objective), systems[i]
-            )
-    return results  # type: ignore[return-value]  # every slot is filled
-
-
-def _solve_relaxation_sparse(
-    system: ConstraintSystem, a: np.ndarray, b: np.ndarray, w: np.ndarray
-) -> RelaxationResult:
-    """Large-system path: sparse interior-point via scipy (HiGHS)."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    m = len(system)
-    c = np.concatenate([[0.0, 0.0], w])
-    a_ub = sparse.hstack(
-        [sparse.csr_matrix(a), -sparse.eye(m, format="csr")], format="csr"
-    )
-    bounds = [(None, None), (None, None)] + [(0, None)] * m
-    result = linprog(c, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs")
-    if result.status != 0:
-        raise RuntimeError(
-            f"sparse relaxation LP failed: status {result.status} "
-            f"({result.message})"
-        )
-    z = result.x[:2]
-    t = np.maximum(result.x[2:], 0.0)
-    return RelaxationResult(z, t, float(result.fun), system)
+        problems.append(system.matrices())
+    return [
+        RelaxationResult(z, t, cost, system)
+        for system, (z, t, cost) in zip(systems, relaxation_dual_batch(problems))
+    ]

@@ -10,11 +10,8 @@ partitioning.  For ``{x : a_i . x <= b_i}`` it solves
 with our own simplex; the optimal ``r`` doubles as a feasibility
 certificate (``r > 0`` iff the polyhedron has non-empty interior).
 
-``chebyshev_center_batch`` solves many such centres in lockstep through
-:func:`~repro.optimize.linprog.solve_lp_batch`: same-shape problems are
-stacked and every problem replays its own scalar pivot sequence, so each
-batched result is bit-identical to :func:`chebyshev_center` on that
-polyhedron alone.
+``chebyshev_center_batch`` is a loop over :func:`chebyshev_center`, kept
+so callers can hand over a whole batch of regions at once.
 """
 
 from __future__ import annotations
@@ -23,16 +20,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .linprog import InequalityLP, solve_lp, solve_lp_batch
+from .linprog import solve_lp
 from .types import LPResult, LPStatus
 
 __all__ = ["chebyshev_center", "chebyshev_center_batch"]
 
 
-def _chebyshev_lp(
-    a_ub: np.ndarray, b_ub: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | LPResult:
-    """Build the inscribed-ball LP, or short-circuit with a result."""
+def chebyshev_center(a_ub: np.ndarray, b_ub: np.ndarray) -> LPResult:
+    """Chebyshev centre of ``{x : a_ub x <= b_ub}``.
+
+    Returns
+    -------
+    LPResult
+        ``x`` is the centre, ``objective`` the inscribed-ball radius.
+        ``INFEASIBLE`` when the polyhedron is empty, ``UNBOUNDED`` when the
+        inscribed radius is unbounded (region not bounded in all
+        directions).
+    """
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b = np.asarray(b_ub, dtype=float).ravel()
     m, n = a.shape
@@ -51,11 +55,8 @@ def _chebyshev_lp(
     a_aug = np.hstack([a, norms[:, None]])
     nonneg = np.zeros(n + 1, dtype=bool)
     nonneg[-1] = True
-    return c, a_aug, b, nonneg
+    result = solve_lp(c, a_aug, b, nonneg)
 
-
-def _finish_chebyshev(result: LPResult, n: int) -> LPResult:
-    """Map the raw LP result back to centre + inscribed radius."""
     if result.status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, message="inscribed radius unbounded")
     if not result.ok:
@@ -66,55 +67,8 @@ def _finish_chebyshev(result: LPResult, n: int) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, result.x[:n], radius, result.iterations)
 
 
-def chebyshev_center(a_ub: np.ndarray, b_ub: np.ndarray) -> LPResult:
-    """Chebyshev centre of ``{x : a_ub x <= b_ub}``.
-
-    Returns
-    -------
-    LPResult
-        ``x`` is the centre, ``objective`` the inscribed-ball radius.
-        ``INFEASIBLE`` when the polyhedron is empty, ``UNBOUNDED`` when the
-        inscribed radius is unbounded (region not bounded in all
-        directions).
-    """
-    lp = _chebyshev_lp(a_ub, b_ub)
-    if isinstance(lp, LPResult):
-        return lp
-    c, a_aug, b, nonneg = lp
-    n = a_aug.shape[1] - 1
-    return _finish_chebyshev(solve_lp(c, a_aug, b, nonneg), n)
-
-
 def chebyshev_center_batch(
     systems: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> list[LPResult]:
-    """Chebyshev centres of many polyhedra in stacked lockstep passes.
-
-    ``systems`` is a sequence of ``(a_ub, b_ub)`` pairs.  Problems are
-    grouped by shape (the lockstep stack needs same-shape tableaux) and
-    each group solves through :func:`solve_lp_batch`; singleton groups and
-    degenerate inputs take the scalar path.  Every result is
-    **bit-identical** to :func:`chebyshev_center` on that system alone.
-    """
-    results: list[LPResult | None] = [None] * len(systems)
-    groups: dict[tuple[int, int], list[int]] = {}
-    built: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for i, (a_ub, b_ub) in enumerate(systems):
-        lp = _chebyshev_lp(a_ub, b_ub)
-        if isinstance(lp, LPResult):
-            results[i] = lp
-            continue
-        built[i] = lp
-        groups.setdefault(lp[1].shape, []).append(i)
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            i = idxs[0]
-            c, a_aug, b, nonneg = built[i]
-            n = a_aug.shape[1] - 1
-            results[i] = _finish_chebyshev(solve_lp(c, a_aug, b, nonneg), n)
-            continue
-        problems = [InequalityLP(*built[i]) for i in idxs]
-        n = built[idxs[0]][1].shape[1] - 1
-        for i, result in zip(idxs, solve_lp_batch(problems)):
-            results[i] = _finish_chebyshev(result, n)
-    return results  # type: ignore[return-value]  # every slot is filled
+    """:func:`chebyshev_center` of every ``(a_ub, b_ub)`` pair, in order."""
+    return [chebyshev_center(a_ub, b_ub) for a_ub, b_ub in systems]

@@ -19,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .batched import simplex_standard_form_batch
 from .simplex import simplex_standard_form
 from .types import LPResult, LPStatus
 
-__all__ = ["InequalityLP", "solve_lp", "solve_lp_batch"]
+__all__ = ["InequalityLP", "solve_lp"]
 
 
 @dataclass(frozen=True)
@@ -98,47 +97,6 @@ def solve_lp(
         nonneg = np.zeros(c.size, dtype=bool)
     problem = InequalityLP(c, np.asarray(a_ub, dtype=float), b_ub, nonneg)
     return _solve(problem, max_iterations)
-
-
-def solve_lp_batch(
-    problems: Sequence[InequalityLP],
-    max_iterations: int = 10_000,
-) -> list[LPResult]:
-    """Solve many **same-shape** inequality LPs in one stacked pass.
-
-    Every problem must share ``(num_constraints, num_vars)`` and the
-    ``nonneg`` mask — the shape of the stacked standard-form tableaux.
-    The serving layer's micro-batches satisfy this naturally (same
-    topology piece, same anchor count); callers with mixed shapes group
-    first and fall back to :func:`solve_lp` for the remainder.
-
-    Each returned :class:`~repro.optimize.types.LPResult` is bit-identical
-    to ``solve_lp`` on that problem alone: the standard-form conversion is
-    the same code, and the batched simplex replays each problem's scalar
-    pivot sequence (see :mod:`repro.optimize.batched`).
-    """
-    if not problems:
-        return []
-    shape = (problems[0].num_constraints, problems[0].num_vars)
-    mask = problems[0].nonneg
-    for problem in problems[1:]:
-        if (problem.num_constraints, problem.num_vars) != shape or not (
-            np.array_equal(problem.nonneg, mask)
-        ):
-            raise ValueError(
-                "solve_lp_batch needs same-shape problems with identical "
-                "nonneg masks; group by shape first"
-            )
-    standard = [_standard_form(p) for p in problems]
-    raw = simplex_standard_form_batch(
-        [(c, a, b) for c, a, b, _, _ in standard], max_iterations
-    )
-    return [
-        _map_back(problem, result, plus_col, minus_col)
-        for problem, result, (_, _, _, plus_col, minus_col) in zip(
-            problems, raw, standard
-        )
-    ]
 
 
 def _standard_form(

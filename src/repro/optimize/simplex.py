@@ -11,8 +11,10 @@ Problems in inequality form (including free variables) are converted by
 :func:`repro.optimize.linprog.solve_lp`, which is what the rest of the
 codebase calls.
 
-The constraint stacks NomLoc produces are tiny (tens of rows), so a dense
-tableau is both the simplest and the fastest-in-practice choice.
+Its one caller in the pipeline is the Chebyshev-centre LP (one row per
+region edge), small enough that a dense tableau is the simplest choice.
+The relaxation LP (Eq. 19) has its own solver in
+:mod:`repro.optimize.dual`.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ def simplex_standard_form(
         tableau, basis, n, max_iterations - iters1, allowed_cols=n
     )
     iterations = iters1 + iters2
-    # Volume counter for the enclosing obs span (lp.solve_batch): pivots are the
-    # simplex's unit of work, the per-stage analogue of queries served.
+    # Volume counter for the enclosing obs span: pivots are the simplex's
+    # unit of work, the per-stage analogue of queries served.
     add_counter("simplex.pivots", iterations)
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, iterations=iterations, message="phase 2 failed")
@@ -105,9 +107,8 @@ def _crash_basis(a: np.ndarray) -> np.ndarray:
     ``-t`` columns) into unit columns on their negated rows — so typical
     NomLoc problems start fully crashed and skip Phase I outright.
 
-    Returns the chosen column per row (the lowest-index candidate, a
-    deterministic rule the batched solver replays), or ``-1`` where no
-    unit column exists and an artificial is required.
+    Returns the chosen column per row (the lowest-index candidate), or
+    ``-1`` where no unit column exists and an artificial is required.
     """
     m, _ = a.shape
     basis_col = np.full(m, -1, dtype=np.int64)
@@ -122,12 +123,7 @@ def _crash_basis(a: np.ndarray) -> np.ndarray:
 def _phase1_tableau(
     a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
-    """Build the Phase-I tableau and its crash/artificial starting basis.
-
-    The same construction is replayed in stacked form by the batched
-    solver in :mod:`repro.optimize.batched`, so both paths start from
-    bit-identical state.
-    """
+    """Build the Phase-I tableau and its crash/artificial starting basis."""
     m, n = a.shape
     # Normalize to b >= 0 so the starting basis is feasible.
     a = a.copy()

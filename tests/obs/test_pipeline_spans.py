@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.core import NomLocLocalizer, NomLocSystem, SystemConfig
 from repro.environment import get_scenario
-from repro.obs import capture
+from repro.obs import capture, span
+from repro.optimize import relaxation_dual_batch
 
 
 def lobby_queries(count=3, seed=23):
@@ -77,3 +78,41 @@ class TestPipelineSpanNames:
         total_pieces = sum(len(est.pieces) for est in estimates)
         assert winners + lazy == total_pieces
         assert winners >= len(queries)  # every query has >= 1 winner
+
+
+class TestLpCounters:
+    """What the wire benchmark reads off the LP stage.
+
+    ``perfbench`` charges every ``lp.*`` span's self time to ``lp.ms``,
+    sums ``simplex.pivots`` over all spans into ``lp.pivots_per_fix`` and
+    ``rows`` over ``lp.*`` spans into ``lp.rows_per_fix``.  The dual
+    relaxation solver runs inside the one ``lp.solve_batch`` span, opens
+    none of its own, and counts its iterations (bound flips and pivots)
+    as ``simplex.pivots`` — not comparable with the tableau pivots that
+    counter held before the dual solver.
+    """
+
+    def test_solver_iterations_land_on_the_lp_span(self):
+        scenario, queries = lobby_queries()
+        localizer = NomLocLocalizer(scenario.plan.boundary)
+        with capture() as tracer:
+            localizer.locate_batch(queries)
+        spans = tracer.finished()
+        lp = [s for s in spans if s.name.startswith("lp.")]
+        assert [s.name for s in lp] == ["lp.solve_batch"]
+        [solve] = lp
+        pivoting = [s.name for s in spans if "simplex.pivots" in s.counters]
+        assert pivoting == ["lp.solve_batch"]
+
+        shareds = localizer.build_shared_constraints_batch(queries)
+        systems = [
+            localizer.assemble_piece_system(index, shared, mats)
+            for shared, mats in shareds
+            for index in range(len(localizer.pieces))
+        ]
+        assert solve.counters["rows"] == sum(len(s) for s in systems)
+        with capture() as tracer, span("lp.solve_batch"):
+            relaxation_dual_batch([s.matrices() for s in systems])
+        [alone] = tracer.finished()
+        assert solve.counters["simplex.pivots"] == alone.counters["simplex.pivots"]
+        assert solve.counters["simplex.pivots"] >= len(systems)

@@ -2,8 +2,11 @@
 
 The reference ``NomLocLocalizer.locate_batch`` (and so ``locate``) must
 reproduce bit for bit: rows built pair by pair, one relaxation LP per
-piece, region candidates clipped as :class:`HalfSpace` lists.  Only the
-final merge (``estimate_from_solutions``) is shared with ``src/``.
+piece solved on the full tableau (:mod:`tests.oracles.relaxation`),
+region candidates clipped as :class:`HalfSpace` lists.  Only the final
+merge (``estimate_from_solutions``) is shared with ``src/``.  The one
+exception is the relaxation cost: ``src/`` recovers ``t`` from its dual
+solution, so ``w . t`` may differ from the tableau's in the last bits.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from repro.core import (
     confidence_factor,
     proximity_confidence,
     region_center,
-    solve_relaxation,
 )
 from repro.geometry import bisector_halfspace
 
 from .geometry import clip_halfspaces
+from .relaxation import solve_relaxation
 
 #: Inflation (metres) of the second and fourth region candidates.
 EPSILON_M = 0.05
