@@ -13,8 +13,8 @@ winner-only lazy geometry).  This bench pins the win three ways:
   this PR was accepted against);
 * **bit-exactness** — ``locate_batch`` (and ``locate``, its batch of one)
   answers bit-identically to the scalar oracle chain in ``tests/oracles``
-  per query, for both the default CENTROID centring and the LP-heavy
-  CHEBYSHEV method (the stacked Chebyshev path);
+  per query, for both the default CENTROID centring and the ANALYTIC
+  method (the paper's log-barrier centre, a Newton solve per region);
 * **stage split** — an untimed instrumented pass records where batch
   wall-time goes (constraint assembly / stacked LPs / geometry / merge),
   so future regressions name their stage instead of just moving a total;
@@ -63,7 +63,7 @@ BATCH1_FLOOR = 0.75
 #: vectorized pipeline landed).  Frozen here because the live file is
 #: overwritten whenever the serving bench re-runs.
 PR7_BATCHED_QPS = {"lab": 1213.7, "lobby": 630.9}
-CENTER_METHODS = (CenterMethod.CENTROID, CenterMethod.CHEBYSHEV)
+CENTER_METHODS = (CenterMethod.CENTROID, CenterMethod.ANALYTIC)
 STAGES = (
     "constraints.build_batch",
     "lp.solve_batch",

@@ -21,7 +21,6 @@ from repro.core import (
 )
 from repro.environment import get_scenario
 from repro.geometry import Point, Polygon
-from repro.optimize import solve_lp
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +73,6 @@ def test_relaxation_lp(benchmark):
     system = ConstraintSystem(pairwise + tuple(boundary_constraints(area)))
     result = benchmark(solve_relaxation, system)
     assert result.slacks.shape == (len(system),)
-
-
-def test_solve_lp_small(benchmark):
-    """Raw simplex throughput on a small inequality-form LP."""
-    rng = np.random.default_rng(1)
-    a = rng.uniform(-1, 1, size=(20, 4))
-    x0 = rng.uniform(-1, 1, 4)
-    b = a @ x0 + rng.uniform(0.1, 1.0, 20)
-    c = rng.uniform(-1, 1, 4)
-    result = benchmark(solve_lp, c, a, b)
-    assert result.ok
 
 
 def test_full_locate_query(benchmark, lab, lab_system):

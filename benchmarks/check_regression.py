@@ -64,10 +64,16 @@ def walk_leaves(node, prefix=""):
 
 
 def classify(path: str) -> str | None:
-    """``"qps"``, ``"p50"``, ``"bit"`` or None for an ungated leaf."""
-    leaf = path.rsplit(".", 1)[-1].lower()
-    if any(m in leaf for m in _BIT_MARKERS):
+    """``"qps"``, ``"p50"``, ``"bit"`` or None for an ungated leaf.
+
+    A bit-exactness marker on any key of the path makes a bit flag, so
+    per-method flags nested under one (``lab.bit_exact.centroid``) are
+    gated like a ``bit_exact`` leaf.
+    """
+    keys = path.lower().split(".")
+    if any(m in key for key in keys for m in _BIT_MARKERS):
         return "bit"
+    leaf = keys[-1]
     if any(m in leaf for m in _THROUGHPUT_MARKERS):
         return "qps"
     if any(m in leaf for m in _LATENCY_MARKERS):

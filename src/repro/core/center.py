@@ -2,14 +2,13 @@
 
 The paper "choose[s] the center point of the region as the approximation
 result" and obtains it from CVX's interior-point solver ("the center of
-the feasible region by using logarithmic barrier functions").  Three
+the feasible region by using logarithmic barrier functions").  Two
 estimators are provided and compared in the ABL-CTR ablation:
 
 * **CENTROID** — exact area centroid of the clipped feasible polygon
   (exact in 2-D; the default);
-* **CHEBYSHEV** — centre of the largest inscribed disk (LP);
 * **ANALYTIC** — the log-barrier analytic centre (what CVX effectively
-  returned to the authors).
+  returned to the authors), a Newton solve started from the centroid.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..geometry import HalfSpace, Point, Polygon, intersect_halfspaces
-from ..optimize import analytic_center, chebyshev_center, chebyshev_center_batch
+from ..optimize import analytic_center
 
 __all__ = [
     "CenterMethod",
@@ -34,7 +33,6 @@ class CenterMethod(enum.Enum):
     """How to turn the feasible region into a point estimate."""
 
     CENTROID = "centroid"
-    CHEBYSHEV = "chebyshev"
     ANALYTIC = "analytic"
 
 
@@ -73,24 +71,20 @@ def region_center(
             return None
         return Point(float(fallback[0]), float(fallback[1]))
 
+    centroid = region.centroid()
     if method is CenterMethod.CENTROID:
-        return region.centroid()
+        return centroid
 
-    # LP-based centres work on the region's own halfspace description --
-    # the polygon edges -- which already includes the bound.
+    # The analytic centre works on the region's own halfspace description
+    # -- the polygon edges -- which already includes the bound.  The
+    # centroid of a convex polygon with positive area is strictly inside
+    # it, so it is the Newton start.
     a_arr, b_arr = _region_rows(region)
-
-    if method is CenterMethod.CHEBYSHEV:
-        result = chebyshev_center(a_arr, b_arr)
-    elif method is CenterMethod.ANALYTIC:
-        result = analytic_center(a_arr, b_arr)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown centre method {method!r}")
-
+    result = analytic_center(a_arr, b_arr, np.array([centroid.x, centroid.y]))
     if not result.ok:
-        # Extremely thin regions can defeat the LP centres; the exact
-        # centroid is always available.
-        return region.centroid()
+        # A sliver whose centroid is not strictly interior (or a Newton
+        # stall) keeps the exact centroid.
+        return centroid
     return Point(float(result.x[0]), float(result.x[1]))
 
 
@@ -113,34 +107,13 @@ def region_centers_batch(
     fallbacks: Sequence[np.ndarray],
     method: CenterMethod = CenterMethod.CENTROID,
 ) -> list[Point]:
-    """Centres of many already-clipped regions, LP methods stacked.
+    """Centres of many already-clipped regions, one per region.
 
-    Bit-identical to calling :func:`region_center` per region with the
-    matching ``fallback`` and a precomputed ``region`` argument: empty
-    regions fall back to their LP feasible point, CENTROID takes each
-    polygon's exact centroid, and the LP-based centres (CHEBYSHEV via
-    :func:`~repro.optimize.chebyshev_center_batch`, ANALYTIC via the
-    barrier solve) run on each region's own edge rows with the
-    same thin-region centroid fallback.
+    :func:`region_center` per region with the matching ``fallback`` and
+    the precomputed ``region``: empty regions fall back to their LP
+    feasible point.
     """
-    centers: list[Point | None] = [None] * len(regions)
-    lp_lanes: list[int] = []
-    for i, (region, fallback) in enumerate(zip(regions, fallbacks)):
-        if region is None:
-            centers[i] = Point(float(fallback[0]), float(fallback[1]))
-        elif method is CenterMethod.CENTROID:
-            centers[i] = region.centroid()
-        elif method is CenterMethod.ANALYTIC:
-            centers[i] = region_center(
-                (), None, method, fallback=fallback, region=region
-            )
-        else:
-            lp_lanes.append(i)
-    if lp_lanes:
-        rows = [_region_rows(regions[i]) for i in lp_lanes]
-        for i, result in zip(lp_lanes, chebyshev_center_batch(rows)):
-            if not result.ok:
-                centers[i] = regions[i].centroid()
-            else:
-                centers[i] = Point(float(result.x[0]), float(result.x[1]))
-    return centers  # type: ignore[return-value]  # every slot is filled
+    return [
+        region_center((), None, method, fallback=fallback, region=region)
+        for region, fallback in zip(regions, fallbacks)
+    ]

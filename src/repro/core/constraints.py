@@ -109,9 +109,9 @@ class ConstraintSystem:
         """``(A, b, w)`` with rows in constraint order.
 
         Memoized: the system is frozen, so the matrices are built once and
-        the same arrays are returned on every call (the LP setup, the
-        geometry rounds, and the Chebyshev stack all read them).  Callers
-        must treat them as read-only.
+        the same arrays are returned on every call (the LP setup and the
+        geometry rounds both read them).  Callers must treat them as
+        read-only.
         """
         cached = self.__dict__.get("_matrices")
         if cached is not None:

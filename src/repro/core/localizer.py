@@ -29,8 +29,8 @@ from ..geometry import (
     Polygon,
     decompose_convex,
     distance_point_to_segment,
+    intersect_rows,
 )
-from ..geometry.halfspace import _intersect_rows
 from ..obs import span
 from .center import CenterMethod, region_centers_batch
 from .constraints import (
@@ -554,7 +554,7 @@ class NomLocLocalizer:
     def _piece_geometry(
         self, relaxations: Sequence[RelaxationResult]
     ) -> list[tuple[Polygon | None, Point]]:
-        """``(region, centre)`` per relaxation; centre LPs are stacked.
+        """``(region, centre)`` per relaxation.
 
         An empty region centres on the relaxation's feasible point.
         """
@@ -580,16 +580,16 @@ class NomLocLocalizer:
         a, b, _w = relaxation.system.matrices()
         kept = relaxation.slacks <= _SLACK_TOL
         a_sat, b_sat = a[kept], b[kept]
-        region = _intersect_rows(a_sat, b_sat, self._bound)
+        region = intersect_rows(a_sat, b_sat, self._bound)
         if region is None:
-            region = _intersect_rows(
+            region = intersect_rows(
                 a_sat, b_sat + _REGION_EPSILON_M, self._bound
             )
         if region is None:
             relaxed = b + relaxation.slacks
-            region = _intersect_rows(a, relaxed, self._bound)
+            region = intersect_rows(a, relaxed, self._bound)
             if region is None:
-                region = _intersect_rows(
+                region = intersect_rows(
                     a, relaxed + _REGION_EPSILON_M, self._bound
                 )
         return region

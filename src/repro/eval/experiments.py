@@ -362,7 +362,7 @@ def fig10_position_error(
 def ablation_center_methods(
     scenario_name: str = "lab", config: ExperimentConfig = DEFAULT
 ) -> dict[str, ErrorStats]:
-    """ABL-CTR: centroid vs Chebyshev vs analytic region centres."""
+    """ABL-CTR: centroid vs analytic region centres."""
     scenario = get_scenario(scenario_name)
     out = {}
     for method in CenterMethod:

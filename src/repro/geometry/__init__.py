@@ -12,7 +12,7 @@ from .halfspace import (
     bisector_halfspace,
     halfspaces_to_matrix,
     intersect_halfspaces,
-    intersect_halfspaces_batch,
+    intersect_rows,
 )
 from .mirror import boundary_halfspaces, reflect_point, virtual_aps
 from .polygon import Polygon
@@ -45,7 +45,7 @@ __all__ = [
     "decompose_convex",
     "bisector_halfspace",
     "intersect_halfspaces",
-    "intersect_halfspaces_batch",
+    "intersect_rows",
     "halfspaces_to_matrix",
     "reflect_point",
     "virtual_aps",

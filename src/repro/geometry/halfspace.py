@@ -4,10 +4,9 @@ Every proximity judgement in NomLoc is a linear inequality
 ``a . z <= b`` (Eq. 7 of the paper).  Because the unknown ``z`` is a 2-D
 position, the feasible region of any constraint stack is a convex polygon
 and can be computed *exactly* by Sutherland–Hodgman clipping — no LP solver
-is needed to find its centre.  The LP machinery in :mod:`repro.optimize` is
-still used for the weighted relaxation (Eq. 19) and for the analytic /
-Chebyshev centres; this module provides the exact geometric ground truth the
-solvers are validated against.
+is needed to find its centre.  :mod:`repro.optimize` is still used for the
+weighted relaxation (Eq. 19) and for the analytic centre; this module
+provides the exact geometric ground truth the solvers are validated against.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .primitives import EPS, Point
 __all__ = [
     "HalfSpace",
     "intersect_halfspaces",
-    "intersect_halfspaces_batch",
+    "intersect_rows",
     "bisector_halfspace",
     "halfspaces_to_matrix",
 ]
@@ -99,7 +98,7 @@ def intersect_halfspaces(
     pass of :func:`_clip_coords` per halfspace) and only the final region
     is materialized as a :class:`Polygon`.
     """
-    return _intersect_rows(*halfspaces_to_matrix(list(halfspaces)), bound)
+    return intersect_rows(*halfspaces_to_matrix(list(halfspaces)), bound)
 
 
 def _clip_coords(
@@ -165,10 +164,15 @@ def _clip_coords(
     return cleaned
 
 
-def _intersect_rows(
+def intersect_rows(
     a: np.ndarray, b: np.ndarray, bound: Polygon
 ) -> Polygon | None:
-    """Clip ``bound`` by one ``(a, b)`` row stack, row by row."""
+    """Clip ``bound`` by the row stack ``a z <= b``, row by row.
+
+    ``a`` has shape ``(m, 2)`` and ``b`` shape ``(m,)``.  Returns the
+    feasible polygon, or ``None`` when the rows are jointly infeasible or
+    leave a degenerate sliver inside ``bound``.
+    """
     verts: list[tuple[float, float]] | None
     verts = [(p.x, p.y) for p in bound.vertices]
     # ``tolist`` yields the same Python floats as per-element ``float()``
@@ -178,23 +182,6 @@ def _intersect_rows(
         if verts is None:
             return None
     return Polygon(tuple(Point(x, y) for x, y in verts))
-
-
-def intersect_halfspaces_batch(
-    systems: Sequence[tuple[np.ndarray, np.ndarray]], bound: Polygon
-) -> list[Polygon | None]:
-    """Clip many halfspace stacks against one convex ``bound``.
-
-    ``systems`` holds one lane per entry: ``(a, b)`` with ``a`` of shape
-    ``(m, 2)`` and ``b`` of shape ``(m,)``, rows meaning ``a . z <= b``;
-    lanes may have different row counts.  Returns one ``Polygon | None``
-    per lane, identical to :func:`intersect_halfspaces` on that lane's
-    rows.
-    """
-    return [
-        _intersect_rows(np.asarray(a, float), np.asarray(b, float), bound)
-        for a, b in systems
-    ]
 
 
 def halfspaces_to_matrix(

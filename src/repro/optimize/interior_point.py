@@ -1,40 +1,30 @@
-"""Log-barrier interior-point machinery.
+"""Log-barrier analytic centre.
 
 The paper (Sec. IV-B4) solves its LPs with CVX's interior-point method and
 notes that it "can return the center of the feasible region by using
-logarithmic barrier functions".  This module reproduces both halves from
-scratch:
-
-* :func:`analytic_center` — the minimizer of the log-barrier
-  ``phi(x) = -sum_i log(b_i - a_i . x)`` over ``{A x < b}`` (damped Newton
-  with backtracking).
-* :func:`barrier_solve_lp` — a textbook (Boyd & Vandenberghe, ch. 11)
-  barrier-method LP solver ``min c.x s.t. A x <= b`` that follows the
-  central path ``x*(t) = argmin t c.x + phi(x)``; with ``c = 0`` it reduces
-  to the analytic centre, matching the paper's observation.
+logarithmic barrier functions".  :func:`analytic_center` reproduces that
+centre from scratch: the minimizer of the log-barrier
+``phi(x) = -sum_i log(b_i - a_i . x)`` over ``{A x < b}``, by damped
+Newton with backtracking from a strictly interior start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import chebyshev_center
 from .types import LPResult, LPStatus
 
-__all__ = ["analytic_center", "barrier_solve_lp"]
-
-_FEAS_TOL = 1e-9
+__all__ = ["analytic_center"]
 
 
 def _newton_centering(
     a: np.ndarray,
     b: np.ndarray,
     x0: np.ndarray,
-    c_scaled: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iterations: int = 200,
 ) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton for ``min (c_scaled . x) + phi(x)`` from interior x0.
+    """Damped Newton for ``min phi(x)`` from interior x0.
 
     Returns ``(x, iterations, converged)``.
     """
@@ -46,8 +36,6 @@ def _newton_centering(
             raise RuntimeError("Newton iterate left the interior")
         inv_s = 1.0 / slack
         grad = a.T @ inv_s
-        if c_scaled is not None:
-            grad = grad + c_scaled
         hess = (a * inv_s[:, None] ** 2).T @ a
         # Tikhonov fallback keeps the step defined when constraints are
         # rank-deficient (e.g. all normals parallel).
@@ -61,12 +49,12 @@ def _newton_centering(
         # Backtracking line search: stay strictly interior, Armijo on the
         # barrier objective.
         t = 1.0
-        fx = _barrier_value(a, b, x, c_scaled)
+        fx = _barrier_value(a, b, x)
         alpha, beta = 0.25, 0.5
         for _ in range(60):
             cand = x + t * step
             if np.all(b - a @ cand > 0):
-                f_cand = _barrier_value(a, b, cand, c_scaled)
+                f_cand = _barrier_value(a, b, cand)
                 if f_cand <= fx + alpha * t * float(grad @ step):
                     break
             t *= beta
@@ -76,114 +64,37 @@ def _newton_centering(
     return x, max_iterations, False
 
 
-def _barrier_value(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, c_scaled: np.ndarray | None
-) -> float:
-    val = -float(np.sum(np.log(b - a @ x)))
-    if c_scaled is not None:
-        val += float(c_scaled @ x)
-    return val
+def _barrier_value(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    return -float(np.sum(np.log(b - a @ x)))
 
 
 def analytic_center(
     a_ub: np.ndarray,
     b_ub: np.ndarray,
-    x0: np.ndarray | None = None,
+    x0: np.ndarray,
     tol: float = 1e-10,
 ) -> LPResult:
     """Analytic centre of the polyhedron ``{x : a_ub x <= b_ub}``.
 
-    The polyhedron must be bounded with non-empty interior; a strictly
-    interior starting point is found via the Chebyshev centre when ``x0``
-    is not supplied.
+    The polyhedron must be bounded with non-empty interior, and ``x0``
+    must be strictly inside it; otherwise the result is ``INFEASIBLE``.
     """
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b = np.asarray(b_ub, dtype=float).ravel()
     if a.shape[0] != b.size:
         raise ValueError("a_ub and b_ub row counts differ")
-    if x0 is None:
-        cheb = chebyshev_center(a, b)
-        if not cheb.ok:
-            return LPResult(
-                cheb.status, message=f"no interior point: {cheb.message}"
-            )
-        if cheb.objective <= _FEAS_TOL:
-            return LPResult(
-                LPStatus.INFEASIBLE,
-                message="polyhedron has empty interior",
-            )
-        x0 = cheb.x
     x0 = np.asarray(x0, dtype=float).ravel()
     if np.any(b - a @ x0 <= 0):
         return LPResult(
             LPStatus.INFEASIBLE, message="supplied x0 is not strictly interior"
         )
-    x, iters, converged = _newton_centering(a, b, x0, None, tol)
+    x, iters, converged = _newton_centering(a, b, x0, tol)
     if not converged:
         return LPResult(
             LPStatus.ITERATION_LIMIT,
             x,
-            _barrier_value(a, b, x, None),
+            _barrier_value(a, b, x),
             iters,
             "Newton centering did not converge",
         )
-    return LPResult(LPStatus.OPTIMAL, x, _barrier_value(a, b, x, None), iters)
-
-
-def barrier_solve_lp(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    t0: float = 1.0,
-    mu: float = 20.0,
-    duality_gap: float = 1e-8,
-    x0: np.ndarray | None = None,
-) -> LPResult:
-    """Barrier-method LP: ``min c.x  s.t.  a_ub x <= b_ub``.
-
-    Follows the central path, multiplying the barrier parameter by ``mu``
-    each outer iteration until ``m / t`` (the duality-gap bound) drops
-    below ``duality_gap``.  Requires a bounded feasible region with
-    interior, which NomLoc's boundary constraints guarantee.
-    """
-    c = np.asarray(c, dtype=float).ravel()
-    a = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float).ravel()
-    m = b.size
-
-    center = analytic_center(a, b, x0=x0)
-    if not center.ok:
-        return center
-    x = center.x
-    total_iters = center.iterations
-
-    if np.allclose(c, 0.0):
-        # Degenerate objective: the central path is a single point (the
-        # analytic centre), which the paper exploits for Eq. 12/16.
-        return LPResult(LPStatus.OPTIMAL, x, 0.0, total_iters)
-
-    t = t0
-    while m / t > duality_gap:
-        x, iters, converged = _newton_centering(a, b, x, t * c)
-        total_iters += iters
-        if not converged:
-            # Near the end of the path the Hessian is badly conditioned
-            # and the line search can stall; if the duality-gap bound is
-            # already small the point is optimal for practical purposes.
-            if m / t <= 1e-4:
-                return LPResult(
-                    LPStatus.OPTIMAL,
-                    x,
-                    float(c @ x),
-                    total_iters,
-                    f"accepted after stall at gap bound {m / t:.1e}",
-                )
-            return LPResult(
-                LPStatus.ITERATION_LIMIT,
-                x,
-                float(c @ x),
-                total_iters,
-                f"centering stalled at t={t:.3e}",
-            )
-        t *= mu
-    return LPResult(LPStatus.OPTIMAL, x, float(c @ x), total_iters)
+    return LPResult(LPStatus.OPTIMAL, x, _barrier_value(a, b, x), iters)

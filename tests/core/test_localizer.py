@@ -167,7 +167,7 @@ class TestNonConvexArea:
 class TestCenterMethods:
     @pytest.mark.parametrize(
         "method",
-        [CenterMethod.CENTROID, CenterMethod.CHEBYSHEV, CenterMethod.ANALYTIC],
+        [CenterMethod.CENTROID, CenterMethod.ANALYTIC],
     )
     def test_all_methods_work_end_to_end(self, method):
         loc = NomLocLocalizer(SQUARE, LocalizerConfig(center_method=method))

@@ -3,7 +3,7 @@
 :func:`tests.oracles.localizer.locate` is the scalar chain ``src/`` no
 longer carries, with the relaxation LP on the full tableau.  Both entry
 points must match it bit for bit, gated and ungated, for the default and
-the LP-based centre; so must every losing piece's lazily materialized
+the analytic centre; so must every losing piece's lazily materialized
 geometry, before and after pickling.  Relaxation costs agree to 1e-12
 relative (the dual solver recovers ``t`` itself).
 """
@@ -59,7 +59,7 @@ def venue_queries(venue, gated, count=4):
     return scenario, queries
 
 
-@pytest.mark.parametrize("method", [CenterMethod.CENTROID, CenterMethod.CHEBYSHEV])
+@pytest.mark.parametrize("method", [CenterMethod.CENTROID, CenterMethod.ANALYTIC])
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("venue", ["lab", "lobby"])
 def test_locate_and_batch_match_scalar_oracle(venue, gated, method):
@@ -80,7 +80,7 @@ def test_locate_and_batch_match_scalar_oracle(venue, gated, method):
         )
 
 
-@pytest.mark.parametrize("method", [CenterMethod.CENTROID, CenterMethod.CHEBYSHEV])
+@pytest.mark.parametrize("method", [CenterMethod.CENTROID, CenterMethod.ANALYTIC])
 def test_lazy_losers_and_pickles_match_oracle_eager_pieces(method):
     # The lobby has two convex pieces, so some queries leave a loser.
     scenario, queries = venue_queries("lobby", gated=False, count=6)

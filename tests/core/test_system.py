@@ -177,7 +177,7 @@ class TestLobbyIntegration:
         system = NomLocSystem(
             lobby,
             SystemConfig(packets_per_link=5),
-            LocalizerConfig(center_method=CenterMethod.CHEBYSHEV),
+            LocalizerConfig(center_method=CenterMethod.ANALYTIC),
         )
         rng = np.random.default_rng(6)
         est = system.locate(lobby.test_sites[0], rng)

@@ -89,7 +89,7 @@ class TestFig10:
 class TestAblations:
     def test_center_methods(self):
         out = ablation_center_methods("lab", TINY)
-        assert set(out) == {"centroid", "chebyshev", "analytic"}
+        assert set(out) == {"centroid", "analytic"}
         assert all(s.mean > 0 for s in out.values())
 
     def test_site_count(self):

@@ -1,15 +1,22 @@
-"""Bit-exactness tests for the batched halfspace clipper.
+"""Bit-exactness tests for the row-stack halfspace clipper.
 
-``intersect_halfspaces_batch`` promises, per lane, the polygon the scalar
-oracle (:func:`tests.oracles.geometry.clip_halfspaces`: ``clip_polygon`` chained
-over :class:`HalfSpace` objects) produces, so every comparison here is
-exact (``==`` on vertex floats), never ``approx``.
+``intersect_rows`` promises, for every ``(a, b)`` row stack ("lane"), the
+polygon that :func:`intersect_halfspaces` and the scalar oracle
+(:func:`tests.oracles.geometry.clip_halfspaces`: ``clip_polygon`` chained
+over :class:`HalfSpace` objects) produce from the same rows as
+:class:`HalfSpace` objects, so every comparison here is exact (``==`` on
+vertex floats), never ``approx``.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry import HalfSpace, Polygon, intersect_halfspaces_batch
+from repro.geometry import (
+    HalfSpace,
+    Polygon,
+    intersect_halfspaces,
+    intersect_rows,
+)
 from tests.oracles.geometry import clip_halfspaces
 
 BOUND = Polygon.rectangle(0.0, 0.0, 20.0, 14.0)
@@ -27,48 +34,39 @@ def random_lane(rng, max_rows=8):
     return a, b
 
 
-def assert_lane_identical(scalar, batched):
-    if scalar is None or batched is None:
-        assert scalar is None and batched is None
+def assert_lane_identical(ref, got):
+    if ref is None or got is None:
+        assert ref is None and got is None
         return
-    assert len(scalar.vertices) == len(batched.vertices)
-    for p, q in zip(scalar.vertices, batched.vertices):
+    assert len(ref.vertices) == len(got.vertices)
+    for p, q in zip(ref.vertices, got.vertices):
         assert (p.x, p.y) == (q.x, q.y)
 
 
+def clip_lanes(lanes):
+    """``intersect_rows`` per lane, each checked against both references."""
+    polys = []
+    for a, b in lanes:
+        poly = intersect_rows(a, b, BOUND)
+        halfspaces = rows_to_halfspaces(a, b)
+        assert_lane_identical(intersect_halfspaces(halfspaces, BOUND), poly)
+        assert_lane_identical(clip_halfspaces(halfspaces, BOUND), poly)
+        polys.append(poly)
+    return polys
+
+
 class TestIntersectHalfspacesBatch:
+    """``intersect_rows`` lane by lane against both references."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_lanes_match_scalar(self, seed):
         rng = np.random.default_rng(seed)
         lanes = [random_lane(rng) for _ in range(24)]
-        batched = intersect_halfspaces_batch(lanes, BOUND)
-        for (a, b), poly in zip(lanes, batched):
-            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
-            assert_lane_identical(scalar, poly)
-
-    def test_small_batch_scalar_fallback_path(self):
-        # A lane's polygon must not depend on how many other lanes share
-        # the batch.
-        rng = np.random.default_rng(99)
-        lanes = [random_lane(rng) for _ in range(11)]
-        small = intersect_halfspaces_batch(lanes, BOUND)
-        padded = intersect_halfspaces_batch(
-            lanes + [random_lane(rng) for _ in range(12)], BOUND
-        )
-        for lane, (p, q) in enumerate(zip(small, padded[: len(small)])):
-            assert_lane_identical(p, q)
-
-    def test_empty_batch_and_singleton(self):
-        assert intersect_halfspaces_batch([], BOUND) == []
-        a = np.array([[1.0, 0.0]])
-        b = np.array([7.0])
-        [poly] = intersect_halfspaces_batch([(a, b)], BOUND)
-        scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
-        assert_lane_identical(scalar, poly)
+        clip_lanes(lanes)
 
     def test_zero_row_lane_returns_bound(self):
         lanes = [(np.zeros((0, 2)), np.zeros(0))] * 14
-        for poly in intersect_halfspaces_batch(lanes, BOUND):
+        for poly in clip_lanes(lanes):
             assert_lane_identical(BOUND, poly)
 
     def test_infeasible_lane_is_none_without_poisoning_others(self):
@@ -78,32 +76,23 @@ class TestIntersectHalfspacesBatch:
         good_a = np.array([[1.0, 0.0]])
         good_b = np.array([10.0])
         lanes = [(bad_a, bad_b), (good_a, good_b)] * 12
-        batched = intersect_halfspaces_batch(lanes, BOUND)
-        for (a, b), poly in zip(lanes, batched):
-            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
-            assert_lane_identical(scalar, poly)
-        assert batched[0] is None
-        assert batched[1] is not None
+        polys = clip_lanes(lanes)
+        assert polys[0] is None
+        assert polys[1] is not None
 
     def test_mixed_row_counts(self):
         rng = np.random.default_rng(7)
         lanes = [random_lane(rng, max_rows=1) for _ in range(12)]
         lanes += [random_lane(rng, max_rows=12) for _ in range(12)]
-        batched = intersect_halfspaces_batch(lanes, BOUND)
-        for (a, b), poly in zip(lanes, batched):
-            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
-            assert_lane_identical(scalar, poly)
+        clip_lanes(lanes)
 
     def test_degenerate_sliver_lanes(self):
         # Two parallel cuts leaving (almost) zero area: the scalar oracle
-        # collapses slivers to None; the batch must agree lane by lane.
+        # collapses slivers to None; ``intersect_rows`` must agree.
         lanes = []
         for eps in (0.0, 1e-13, 1e-9, 1e-3):
             a = np.array([[1.0, 0.0], [-1.0, 0.0]])
             b = np.array([5.0 + eps, -5.0])
             lanes.append((a, b))
         lanes = lanes * 4
-        batched = intersect_halfspaces_batch(lanes, BOUND)
-        for (a, b), poly in zip(lanes, batched):
-            scalar = clip_halfspaces(rows_to_halfspaces(a, b), BOUND)
-            assert_lane_identical(scalar, poly)
+        clip_lanes(lanes)

@@ -1,18 +1,11 @@
-"""Tests for Chebyshev and analytic centres and the barrier LP solver."""
+"""Tests for the log-barrier analytic centre."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import HalfSpace, Point, Polygon, intersect_halfspaces
-from repro.optimize import (
-    LPStatus,
-    analytic_center,
-    barrier_solve_lp,
-    chebyshev_center,
-    chebyshev_center_batch,
-)
+from repro.optimize import LPStatus, analytic_center
 
 
 def box_constraints(cx, cy, half):
@@ -22,135 +15,10 @@ def box_constraints(cx, cy, half):
     return a, b
 
 
-class TestChebyshevCenter:
-    def test_square(self):
-        a, b = box_constraints(2.0, 3.0, 1.5)
-        res = chebyshev_center(a, b)
-        assert res.ok
-        np.testing.assert_allclose(res.x, [2.0, 3.0], atol=1e-7)
-        assert res.objective == pytest.approx(1.5)
-
-    def test_triangle_radius(self):
-        # Right triangle x >= 0, y >= 0, x + y <= 2: incentre radius 2-sqrt(2).
-        a = np.array([[-1, 0], [0, -1], [1, 1]], dtype=float)
-        b = np.array([0.0, 0.0, 2.0])
-        res = chebyshev_center(a, b)
-        assert res.ok
-        assert res.objective == pytest.approx(2 - np.sqrt(2), abs=1e-7)
-
-    def test_empty(self):
-        a = np.array([[1.0], [-1.0]])
-        b = np.array([0.0, -1.0])  # x <= 0 and x >= 1
-        res = chebyshev_center(a, b)
-        assert res.status is LPStatus.INFEASIBLE
-
-    def test_unbounded(self):
-        a = np.array([[1.0, 0.0]])  # halfplane: radius unbounded
-        res = chebyshev_center(a, np.array([1.0]))
-        assert res.status is LPStatus.UNBOUNDED
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            chebyshev_center(np.array([[0.0, 0.0]]), np.array([1.0]))
-
-    def test_flat_region_zero_radius(self):
-        # x <= 0 and x >= 0: a line, zero inscribed radius.
-        a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        b = np.array([0.0, 0.0, 1.0, 1.0])
-        res = chebyshev_center(a, b)
-        assert res.ok
-        assert res.objective == pytest.approx(0.0, abs=1e-8)
-
-
-def random_polytope(rng, rows):
-    """A bounded polytope with ``rows`` random faces plus a box."""
-    centre = rng.uniform(-3, 3, 2)
-    a = rng.uniform(-1, 1, size=(rows, 2))
-    a[np.linalg.norm(a, axis=1) < 0.2] = [1.0, 0.3]
-    b = a @ centre + rng.uniform(0.3, 2.0, size=rows)
-    box_a = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
-    box_b = np.array([8.0, 8.0, 8.0, 8.0])
-    return np.vstack([a, box_a]), np.concatenate([b, box_b])
-
-
-def assert_center_identical(scalar, batched):
-    """Chebyshev results equal down to the last bit."""
-    assert scalar.status == batched.status
-    assert scalar.iterations == batched.iterations
-    assert scalar.message == batched.message
-    if scalar.x is None:
-        assert batched.x is None
-    else:
-        assert scalar.x.tobytes() == batched.x.tobytes()
-    if np.isnan(scalar.objective):
-        assert np.isnan(batched.objective)
-    else:
-        assert scalar.objective == batched.objective
-
-
-class TestChebyshevCenterBatch:
-    """The stacked centre path vs the scalar one, system by system."""
-
-    def test_mixed_shapes_group_and_match_scalar(self):
-        rng = np.random.default_rng(61)
-        systems = [random_polytope(rng, rows) for rows in (3, 5, 3, 7, 5, 3)]
-        batched = chebyshev_center_batch(systems)
-        assert len(batched) == len(systems)
-        for (a, b), res in zip(systems, batched):
-            assert_center_identical(chebyshev_center(a, b), res)
-
-    def test_singleton_group_takes_scalar_path(self):
-        rng = np.random.default_rng(67)
-        systems = [random_polytope(rng, 4)]
-        [res] = chebyshev_center_batch(systems)
-        assert_center_identical(chebyshev_center(*systems[0]), res)
-
-    def test_empty_batch(self):
-        assert chebyshev_center_batch([]) == []
-
-    def test_constraint_free_lane_short_circuits(self):
-        rng = np.random.default_rng(71)
-        systems = [
-            random_polytope(rng, 4),
-            (np.zeros((0, 2)), np.zeros(0)),
-            random_polytope(rng, 4),
-        ]
-        batched = chebyshev_center_batch(systems)
-        assert batched[1].status is LPStatus.UNBOUNDED
-        for (a, b), res in zip(systems, batched):
-            assert_center_identical(chebyshev_center(a, b), res)
-
-    def test_zero_normal_rejected_like_scalar(self):
-        good = random_polytope(np.random.default_rng(73), 3)
-        bad = (np.array([[0.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError, match="non-zero normals"):
-            chebyshev_center_batch([good, bad])
-
-    def test_infeasible_and_unbounded_lanes_match_scalar(self):
-        rng = np.random.default_rng(79)
-        empty_a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        empty_b = np.array([0.0, -1.0, 1.0, 1.0])  # x <= 0 and x >= 1
-        halfplane = (
-            np.array([[1.0, 0.0], [0.5, 0.0], [0.25, 0.0], [2.0, 0.0]]),
-            np.array([1.0, 1.0, 1.0, 1.0]),
-        )
-        systems = [
-            random_polytope(rng, 0),
-            (empty_a, empty_b),
-            halfplane,
-            random_polytope(rng, 0),
-        ]
-        batched = chebyshev_center_batch(systems)
-        assert batched[1].status is LPStatus.INFEASIBLE
-        assert batched[2].status is LPStatus.UNBOUNDED
-        for (a, b), res in zip(systems, batched):
-            assert_center_identical(chebyshev_center(a, b), res)
-
-
 class TestAnalyticCenter:
     def test_square_center(self):
         a, b = box_constraints(0.0, 0.0, 1.0)
-        res = analytic_center(a, b)
+        res = analytic_center(a, b, np.array([0.3, -0.2]))
         assert res.ok
         np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-7)
 
@@ -166,7 +34,7 @@ class TestAnalyticCenter:
             box_a, box_b = box_constraints(centre[0], centre[1], 50.0)
             a_all = np.vstack([a, box_a])
             b_all = np.concatenate([b, box_b])
-            res = analytic_center(a_all, b_all)
+            res = analytic_center(a_all, b_all, centre)
             assert res.ok
             assert np.all(a_all @ res.x < b_all)
 
@@ -175,14 +43,15 @@ class TestAnalyticCenter:
         # product of intervals is the interval midpoints.
         a = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
         b = np.array([3.0, 0.0, 1.0, 0.0])
-        res = analytic_center(a, b)
+        res = analytic_center(a, b, np.array([0.5, 0.9]))
         assert res.ok
         np.testing.assert_allclose(res.x, [1.5, 0.5], atol=1e-6)
 
     def test_infeasible_region(self):
+        # x <= 0 and x >= 1: no start point can be strictly inside.
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
         b = np.array([0.0, -1.0])
-        res = analytic_center(a, b)
+        res = analytic_center(a, b, np.array([0.5, 0.0]))
         assert res.status is LPStatus.INFEASIBLE
 
     def test_supplied_x0_must_be_interior(self):
@@ -195,59 +64,14 @@ class TestAnalyticCenter:
         for t in (0.5, 2.0, 7.0):
             a = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
             b = np.array([1.0, 1.0, t, t])
-            res = analytic_center(a, b)
+            res = analytic_center(a, b, np.array([0.5, -0.4 * t]))
             assert res.ok
             np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-4)
 
 
-class TestBarrierLP:
-    def test_matches_simplex_on_box(self):
-        a, b = box_constraints(0.0, 0.0, 2.0)
-        c = np.array([1.0, -1.0])
-        res = barrier_solve_lp(c, a, b)
-        assert res.ok
-        assert res.objective == pytest.approx(-4.0, abs=1e-5)
-        np.testing.assert_allclose(res.x, [-2.0, 2.0], atol=1e-4)
-
-    def test_zero_objective_returns_analytic_center(self):
-        a, b = box_constraints(1.0, -1.0, 3.0)
-        res = barrier_solve_lp(np.zeros(2), a, b)
-        assert res.ok
-        np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-6)
-
-    def test_infeasible_propagates(self):
-        a = np.array([[1.0], [-1.0]])
-        b = np.array([0.0, -1.0])
-        res = barrier_solve_lp(np.array([1.0]), a, b)
-        assert res.status is LPStatus.INFEASIBLE
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_random_bounded_lps(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1, 1, size=(6, 2))
-        norms = np.linalg.norm(a, axis=1)
-        a = a[norms > 0.2]
-        centre = rng.uniform(-3, 3, 2)
-        b = a @ centre + rng.uniform(0.5, 2.0, size=a.shape[0])
-        box_a = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
-        box_b = np.array([10.0, 10.0, 10.0, 10.0])
-        a_all = np.vstack([a, box_a])
-        b_all = np.concatenate([b, box_b])
-        c = rng.uniform(-1, 1, 2)
-        res = barrier_solve_lp(c, a_all, b_all)
-        assert res.ok
-        assert np.all(a_all @ res.x <= b_all + 1e-6)
-        # Cross-check against our simplex.
-        from repro.optimize import solve_lp
-
-        ref = solve_lp(c, a_all, b_all)
-        assert ref.ok
-        assert res.objective == pytest.approx(ref.objective, abs=1e-4)
-
-
 class TestCentersAgainstGeometry:
-    """The LP centres must live inside the exact clipped feasible polygon."""
+    """Started from the centroid, the analytic centre stays inside the
+    exact clipped feasible polygon."""
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -275,10 +99,7 @@ class TestCentersAgainstGeometry:
         a = np.array([[h.ax, h.ay] for h in all_hs])
         b = np.array([h.b for h in all_hs])
 
-        cheb = chebyshev_center(a, b)
-        assert cheb.ok
-        if cheb.objective > 1e-6:
-            assert region.contains(Point(*cheb.x))
-            ana = analytic_center(a, b)
-            assert ana.ok
-            assert region.contains(Point(*ana.x))
+        centroid = region.centroid()
+        ana = analytic_center(a, b, np.array([centroid.x, centroid.y]))
+        assert ana.ok
+        assert region.contains(Point(*ana.x))

@@ -1,4 +1,4 @@
-"""Tests for the inequality-form LP facade (free variables, slacks)."""
+"""Tests for the tableau oracle's inequality-form LP facade."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
-from repro.optimize import InequalityLP, LPStatus, solve_lp
+from repro.optimize import LPStatus
+from tests.oracles.linprog import InequalityLP, solve_lp
 
 
 class TestSolveLP:

@@ -1,4 +1,4 @@
-"""Tests for the two-phase tableau simplex, cross-checked against scipy."""
+"""Tests for the tableau simplex oracle, cross-checked against scipy."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
-from repro.optimize import LPStatus, simplex_standard_form
+from repro.optimize import LPStatus
+from tests.oracles.simplex import simplex_standard_form
 
 
 class TestStandardForm:
@@ -131,7 +132,7 @@ class TestCrashBasis:
     """The Phase-I start reads unit columns off the matrix when it can."""
 
     def test_slack_identity_skips_phase1(self):
-        from repro.optimize.simplex import _phase1_tableau
+        from tests.oracles.simplex import _phase1_tableau
 
         # [A | I] with b >= 0: every row is covered by its slack column,
         # so no artificial columns are allocated at all.
@@ -144,7 +145,7 @@ class TestCrashBasis:
         assert not (tableau[2, :] < -1e-9).any()
 
     def test_negated_row_uses_minus_identity_column(self):
-        from repro.optimize.simplex import _phase1_tableau
+        from tests.oracles.simplex import _phase1_tableau
 
         # The relaxation LP shape: [A | -I].  A negative RHS flips its
         # row, turning that row's -1 into a usable +1 unit column.
@@ -156,7 +157,7 @@ class TestCrashBasis:
         assert tableau.shape[1] == a.shape[1] + 1 + 1
 
     def test_uncovered_rows_get_artificials(self):
-        from repro.optimize.simplex import _phase1_tableau
+        from tests.oracles.simplex import _phase1_tableau
 
         a = np.array([[1.0, 1.0], [1.0, -1.0]])  # no unit columns
         b = np.array([3.0, 1.0])
@@ -165,7 +166,7 @@ class TestCrashBasis:
         assert basis == [2, 3]
 
     def test_lowest_index_candidate_wins(self):
-        from repro.optimize.simplex import _crash_basis
+        from tests.oracles.simplex import _crash_basis
 
         # Columns 0 and 2 are both unit columns for row 0.
         a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -173,7 +174,7 @@ class TestCrashBasis:
         assert list(cols) == [0, 1]
 
     def test_non_unit_coefficient_rejected(self):
-        from repro.optimize.simplex import _crash_basis
+        from tests.oracles.simplex import _crash_basis
 
         a = np.array([[2.0, 0.0], [0.0, 1.0]])
         cols = _crash_basis(a)
@@ -186,7 +187,7 @@ class TestCrashBasis:
         m = 12
         a = rng.normal(size=(m, 2))
         b = rng.normal(size=m)
-        from repro.optimize import solve_lp
+        from tests.oracles.linprog import solve_lp
 
         c = np.concatenate([[0.0, 0.0], rng.uniform(0.1, 1.0, size=m)])
         a_lp = np.hstack([a, -np.eye(m)])

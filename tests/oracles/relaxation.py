@@ -2,8 +2,9 @@
 
 ``src/`` solves Eq. 19 through its two-row dual
 (:mod:`repro.optimize.dual`).  This is the construction it replaced —
-``[A | -I]`` handed to the general two-phase tableau simplex — kept as
-the reference the dual solver's answers are checked against.
+``[A | -I]`` handed to the general two-phase tableau simplex of
+:mod:`tests.oracles.simplex` — kept as the reference the dual solver's
+answers are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 import numpy as np
 
 from repro.core import ConstraintSystem, RelaxationResult
-from repro.optimize import LPStatus, solve_lp
+from repro.optimize import LPStatus
+
+from .linprog import solve_lp
 
 
 def solve_relaxation(system: ConstraintSystem) -> RelaxationResult:

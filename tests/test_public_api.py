@@ -1,9 +1,14 @@
 """Public-API hygiene: exports exist, are documented, and import cleanly."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 PUBLIC_MODULES = [
     "repro",
@@ -89,6 +94,16 @@ class TestRemovedNames:
             ("repro.cluster", "ReplicaCrashed"),
             ("repro.cluster", "RetryBudget"),
             ("repro.cluster", "RetryPolicy"),
+            ("repro.optimize", "chebyshev_center"),
+            ("repro.optimize", "chebyshev_center_batch"),
+            ("repro.optimize", "solve_lp"),
+            ("repro.optimize", "simplex_standard_form"),
+            ("repro.optimize", "InequalityLP"),
+            ("repro.optimize", "barrier_solve_lp"),
+            ("repro.optimize.interior_point", "barrier_solve_lp"),
+            ("repro.geometry", "intersect_halfspaces_batch"),
+            ("repro.geometry.halfspace", "intersect_halfspaces_batch"),
+            ("repro.geometry.halfspace", "_intersect_rows"),
         ],
     )
     def test_not_exported(self, module_name, name):
@@ -113,6 +128,40 @@ class TestRemovedNames:
         module_name, class_name = class_path.rsplit(".", 1)
         cls = getattr(importlib.import_module(module_name), class_name)
         assert not hasattr(cls, attr)
+
+    @pytest.mark.parametrize(
+        "module_name",
+        [
+            "repro.optimize.chebyshev",
+            "repro.optimize.simplex",
+            "repro.optimize.linprog",
+        ],
+    )
+    def test_module_removed(self, module_name):
+        assert importlib.util.find_spec(module_name) is None
+
+    def test_center_method_has_no_chebyshev(self):
+        from repro.core import CenterMethod
+
+        assert not hasattr(CenterMethod, "CHEBYSHEV")
+        assert {m.value for m in CenterMethod} == {"centroid", "analytic"}
+
+    def test_src_imports_neither_scipy_nor_tests(self):
+        """scipy and the oracles in ``tests/`` are test-only references."""
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] in {"scipy", "tests"}:
+                        offenders.append(f"{path.relative_to(SRC_ROOT)}: {name}")
+        assert not offenders, offenders
 
     def test_localizer_config_field_count_unchanged(self):
         from dataclasses import fields
