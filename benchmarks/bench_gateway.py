@@ -118,12 +118,12 @@ def _run_socket_phases(scenario, anchor_sets, db_path):
 # ----------------------------------------------------------------------
 
 def _spawn_gateway(db_path):
-    """Launch ``repro gateway --serve`` and wait for its bound port."""
+    """Launch ``repro gateway`` and wait for its bound port."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "gateway", "lab", "--serve",
+            sys.executable, "-m", "repro", "gateway", "lab",
             "--port", "0", "--db", str(db_path),
         ],
         stdout=subprocess.PIPE,

@@ -9,27 +9,49 @@ Usage::
     python -m repro experiment fig9 --scenario lobby
     python -m repro record lab out.json       # record a measurement campaign
     python -m repro replay out.json           # re-localize it offline
-    python -m repro batch-locate lab -n 24    # batch queries through the service
-    python -m repro serve lab --queries 50    # simulated serving run + metrics
-    python -m repro profile lab -n 6          # per-stage latency breakdown
-    python -m repro profile lab --trace-out traces.jsonl
-    python -m repro guard --selftest          # guard-layer corruption drill
+    python -m repro serve lab -n 24           # queries through the service
+    python -m repro serve lab -n 6 --trace    # ... plus per-stage latency
+    python -m repro serve lab --trace-out traces.jsonl
     python -m repro guard lab --faults nan-burst:0.3:AP2
     python -m repro track lab --objects 4     # streaming tracking sessions
-    python -m repro track lab --selftest      # deterministic-replay drill
+    python -m repro gateway lab --port 8080   # HTTP/WebSocket server
+
+Numeric flags are range-checked when parsed: a bad value exits 2 with an
+``error:`` line, as a bad command line does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _checked(cast: Callable, ok: Callable, want: str) -> Callable:
+    """An argparse ``type=`` that converts one value and checks its range."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ..."
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = _checked(int, lambda v: v >= 2, "at least 2")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "non-negative")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_RATE = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     locate.add_argument("--seed", type=int, default=0)
     locate.add_argument(
-        "--packets", type=int, default=30, help="CSI packets per link"
+        "--packets", type=_AT_LEAST_1, default=30, help="CSI packets per link"
     )
     locate.add_argument(
         "--no-map", action="store_true", help="skip the ASCII rendering"
@@ -68,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default="lab", help="scenario for per-venue experiments"
     )
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--repetitions", type=int, default=3)
+    experiment.add_argument("--repetitions", type=_AT_LEAST_1, default=3)
     experiment.add_argument(
-        "--packets", type=int, default=15, help="CSI packets per link"
+        "--packets", type=_AT_LEAST_1, default=15, help="CSI packets per link"
     )
     experiment.add_argument(
         "--workers",
-        type=int,
+        type=_NON_NEGATIVE,
         default=0,
         help="campaign worker processes (0 = sequential; results are "
         "bit-identical for any worker count)",
@@ -84,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("scenario")
     record.add_argument("output", help="output JSON path")
     record.add_argument("--seed", type=int, default=0)
-    record.add_argument("--repetitions", type=int, default=1)
-    record.add_argument("--packets", type=int, default=30)
+    record.add_argument("--repetitions", type=_AT_LEAST_1, default=1)
+    record.add_argument("--packets", type=_AT_LEAST_1, default=30)
 
     replay = sub.add_parser("replay", help="re-localize a recorded campaign")
     replay.add_argument("dataset", help="dataset JSON path")
@@ -102,59 +124,29 @@ def build_parser() -> argparse.ArgumentParser:
     heatmap.add_argument(
         "--static", action="store_true", help="pin the nomadic AP at home"
     )
-    heatmap.add_argument("--spacing", type=float, default=1.5)
-    heatmap.add_argument("--packets", type=int, default=8)
+    heatmap.add_argument("--spacing", type=_POSITIVE, default=1.5)
+    heatmap.add_argument("--packets", type=_AT_LEAST_1, default=8)
     heatmap.add_argument("--seed", type=int, default=0)
-
-    batch = sub.add_parser(
-        "batch-locate",
-        help="run a batch of queries through the localization service",
-    )
-    _add_serving_args(batch)
-    batch.add_argument(
-        "-n", "--count", type=int, default=12, help="number of queries"
-    )
-    batch.add_argument(
-        "--selftest",
-        action="store_true",
-        help="verify service answers match the direct localizer bit-for-bit",
-    )
 
     serve = sub.add_parser(
         "serve",
-        help="simulated serving run: stream queries, report service metrics",
+        help="run seeded queries through the localization service, report "
+        "per-query answers and service metrics",
     )
     _add_serving_args(serve)
     serve.add_argument(
-        "--queries", type=int, default=48, help="stream length"
+        "-n", "--count", type=_AT_LEAST_1, default=12, help="number of queries"
     )
     serve.add_argument(
-        "--timeout", type=float, default=None, help="per-query deadline (s)"
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=64, help="in-flight bound"
-    )
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="route queries by topology key onto sharded services, "
-        "report cluster metrics",
-    )
-    _add_serving_args(cluster)
-    cluster.add_argument(
-        "--queries", type=int, default=24, help="number of routed queries"
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=2, help="number of shards"
-    )
-    cluster.add_argument(
-        "--timeout", type=float, default=None, help="per-query deadline (s)"
-    )
-    cluster.add_argument(
-        "--selftest",
+        "--trace",
         action="store_true",
-        help="verify cluster answers match a single sequential "
-        "service bit-for-bit",
+        help="trace every stage and print the per-stage latency table",
+    )
+    serve.add_argument(
+        "--trace-out",
+        metavar="FILE",
+        default=None,
+        help="trace, and also write the raw spans as JSONL",
     )
 
     guard = sub.add_parser(
@@ -174,21 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
         "subcarrier-dropout:0.5, ap-outage:1.0:AP3); repeatable",
     )
     guard.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the scripted corruption drill and gate on its checks",
-    )
-    guard.add_argument(
         "--no-gate",
         action="store_true",
         help="run the injector but skip gating (the comparison arm)",
     )
     guard.add_argument("--seed", type=int, default=7)
     guard.add_argument(
-        "-n", "--count", type=int, default=6, help="number of queries"
+        "-n", "--count", type=_AT_LEAST_1, default=6, help="number of queries"
     )
     guard.add_argument(
-        "--packets", type=int, default=24, help="CSI packets per link"
+        "--packets", type=_AT_LEAST_1, default=24, help="CSI packets per link"
     )
 
     track = sub.add_parser(
@@ -199,10 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_serving_args(track)
     track.add_argument(
-        "--objects", type=int, default=3, help="number of tracked objects"
+        "--objects",
+        type=_AT_LEAST_1,
+        default=3,
+        help="number of tracked objects",
     )
     track.add_argument(
-        "--steps", type=int, default=10, help="fix ticks per object"
+        "--steps", type=_AT_LEAST_2, default=10, help="fix ticks per object"
     )
     track.add_argument(
         "--zones",
@@ -218,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     track.add_argument(
         "--corrupt",
-        type=float,
+        type=_RATE,
         default=0.0,
         metavar="RATE",
         help="fraction of fixes replaced by a far-off zero-confidence "
@@ -229,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore confidence when setting measurement noise (the "
         "confidence-blind reference arm)",
-    )
-    track.add_argument(
-        "--selftest",
-        action="store_true",
-        help="deterministic-replay drill: seeded runs must produce "
-        "byte-identical event logs, and confidence-modulated filtering "
-        "must beat the blind arm under injected corruption",
     )
     track.add_argument(
         "--durable",
@@ -250,21 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     track.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_AT_LEAST_1,
         default=100,
         metavar="N",
         help="journal entries between full snapshots (--durable)",
     )
     track.add_argument(
         "--group-commit",
-        type=int,
+        type=_AT_LEAST_1,
         default=16,
         metavar="N",
         help="journal rows per fsynced transaction (--durable)",
     )
     track.add_argument(
         "--kill-after",
-        type=int,
+        type=_NON_NEGATIVE,
         default=0,
         metavar="K",
         help="SIGKILL this process after K applied fixes — the "
@@ -279,16 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gateway = sub.add_parser(
         "gateway",
-        help="network front door: asyncio HTTP/WebSocket server with a "
-        "durable measurement ledger over a localization cluster",
+        help="network front door: serve an asyncio HTTP/WebSocket server "
+        "with a durable measurement ledger over a localization cluster "
+        "until SIGTERM/SIGINT",
     )
     gateway.add_argument(
         "scenario", nargs="?", default="lab", help="scenario name (lab, lobby)"
-    )
-    gateway.add_argument(
-        "--serve",
-        action="store_true",
-        help="serve until SIGTERM/SIGINT (the default action)",
     )
     gateway.add_argument("--host", default="127.0.0.1", help="bind address")
     gateway.add_argument(
@@ -303,67 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--shards", type=int, default=1, help="cluster shards"
     )
-    gateway.add_argument(
-        "--selftest",
-        action="store_true",
-        help="in-process client round-trip: socket answers must match the "
-        "direct service bit-for-bit, acked ingest must survive a drain",
-    )
-    gateway.add_argument(
-        "--packets", type=int, default=4, help="CSI packets per link (selftest)"
-    )
-    gateway.add_argument(
-        "--load-s",
-        type=float,
-        default=1.0,
-        help="selftest loadgen duration in seconds",
-    )
-    gateway.add_argument(
-        "--p95-bound-s",
-        type=float,
-        default=2.0,
-        help="selftest fails if loadgen p95 latency exceeds this",
-    )
-    gateway.add_argument("--seed", type=int, default=0)
-
-    profile = sub.add_parser(
-        "profile",
-        help="trace end-to-end queries and print a per-stage latency table",
-    )
-    profile.add_argument("scenario", help="scenario name (lab, lobby)")
-    profile.add_argument(
-        "-n", "--count", type=int, default=6, help="number of queries"
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--packets", type=int, default=8, help="CSI packets per link"
-    )
-    profile.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="also write the raw spans as JSONL",
-    )
     return parser
 
 
 def _add_serving_args(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the ``batch-locate`` and ``serve`` subcommands."""
+    """Flags shared by the ``serve`` and ``track`` subcommands."""
     parser.add_argument("scenario", help="scenario name (lab, lobby)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--packets", type=int, default=8, help="CSI packets per link"
+        "--packets", type=_AT_LEAST_1, default=8, help="CSI packets per link"
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_NON_NEGATIVE,
         default=0,
         help="worker processes sharing the warm caches copy-on-write "
         "(0 = inline on the calling thread)",
     )
     parser.add_argument(
         "--lp-batch",
-        type=int,
+        type=_NON_NEGATIVE,
         default=0,
         help="stack up to N queries' relaxation LPs into one batched "
         "solve (0/1 = one query per solve)",
@@ -373,16 +311,14 @@ def _add_serving_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the topology/bisector caches",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable span tracing; metrics include per-stage aggregates",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code (2 for a bad command line)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return exc.code
     handler = {
         "scenarios": _cmd_scenarios,
         "locate": _cmd_locate,
@@ -390,13 +326,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "record": _cmd_record,
         "replay": _cmd_replay,
         "heatmap": _cmd_heatmap,
-        "batch-locate": _cmd_batch_locate,
         "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
         "guard": _cmd_guard,
         "track": _cmd_track,
         "gateway": _cmd_gateway,
-        "profile": _cmd_profile,
     }[args.command]
     return handler(args)
 
@@ -618,29 +551,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_setup(args: argparse.Namespace):
-    """Scenario + measurement system + seeded query generator, shared by
-    the ``batch-locate`` and ``serve`` commands."""
-    from .core import NomLocSystem, SystemConfig
-    from .environment import get_scenario
-
-    scenario = get_scenario(args.scenario)
-    system = NomLocSystem(
-        scenario, SystemConfig(packets_per_link=args.packets)
-    )
-
-    def queries(count: int):
-        sites = scenario.test_sites
-        for i in range(count):
-            site = sites[i % len(sites)]
-            rng = np.random.default_rng(
-                np.random.SeedSequence([args.seed, i])
-            )
-            yield site, tuple(system.gather_anchors(site, rng))
-
-    return scenario, system, queries
-
-
 def _print_metrics(snapshot: dict) -> None:
     """Render a service metrics snapshot as aligned key/value lines."""
     print(
@@ -648,7 +558,7 @@ def _print_metrics(snapshot: dict) -> None:
         f"p50 {snapshot['latency_p50_s'] * 1e3:.1f} ms, "
         f"p95 {snapshot['latency_p95_s'] * 1e3:.1f} ms | "
         f"completed {snapshot['completed']}, degraded "
-        f"{snapshot['degraded']}, rejected {snapshot['rejected']}"
+        f"{snapshot['degraded']}"
     )
     print(
         f"  queue wait p50 {snapshot['queue_wait_p50_s'] * 1e3:.2f} ms, "
@@ -676,49 +586,57 @@ def _print_metrics(snapshot: dict) -> None:
             print(f"    {line}")
 
 
-def _trace_tracer(args: argparse.Namespace):
-    """Install a fresh tracer when ``--trace`` was given (else no-op)."""
-    if not getattr(args, "trace", False):
-        return None
+def _cmd_serve(args: argparse.Namespace) -> int:
     from . import obs
-
-    return obs.enable()
-
-
-def _cmd_batch_locate(args: argparse.Namespace) -> int:
+    from .core import NomLocSystem, SystemConfig
+    from .environment import get_scenario
     from .serving import LocalizationService, ServingConfig
 
     try:
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        scenario, system, queries = _serving_setup(args)
-        config = ServingConfig(
-            max_workers=args.workers,
-            lp_batch=args.lp_batch,
-            cache_topologies=not args.no_cache,
-            cache_bisectors=not args.no_cache,
-        )
+        scenario = get_scenario(args.scenario)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _trace_tracer(args)
-    batch = list(queries(args.count))
-    # Metrics are flushed in ``finally``: a SIGINT (KeyboardInterrupt)
-    # mid-batch still reports whatever the service completed, instead of
-    # discarding the run's observability with the traceback.
-    responses = []
-    interrupted = False
-    service = LocalizationService(scenario.plan.boundary, config=config)
-    try:
-        responses = service.batch([anchors for _, anchors in batch])
-    except KeyboardInterrupt:
-        interrupted = True
-        print("interrupted; flushing service metrics", file=sys.stderr)
-    finally:
-        snapshot = service.metrics_snapshot()
-        service.close()
+    system = NomLocSystem(
+        scenario, SystemConfig(packets_per_link=args.packets)
+    )
+    config = ServingConfig(
+        max_workers=args.workers,
+        lp_batch=args.lp_batch,
+        cache_topologies=not args.no_cache,
+        cache_bisectors=not args.no_cache,
+    )
+    mode = f"{args.workers} process workers" if args.workers else "sequential"
+    if args.lp_batch > 1:
+        mode += f", lp-batch {args.lp_batch}"
+    print(f"serving {args.count} queries against {scenario.name} ({mode})")
+    trace = args.trace or args.trace_out is not None
+    # The tracer covers measurement too, so the stage table splits a
+    # query from CSI synthesis to the merged region; ``capture`` restores
+    # the caller's tracing state on the way out.
+    with obs.capture() if trace else contextlib.nullcontext() as tracer:
+        truths, batch = [], []
+        sites = scenario.test_sites
+        for i in range(args.count):
+            truths.append(sites[i % len(sites)])
+            rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]))
+            batch.append(tuple(system.gather_anchors(truths[-1], rng)))
+        # Metrics are flushed in ``finally``: a SIGINT (KeyboardInterrupt)
+        # mid-batch still reports whatever the service completed, instead
+        # of discarding the run's observability with the traceback.
+        responses = []
+        interrupted = False
+        service = LocalizationService(scenario.plan.boundary, config=config)
+        try:
+            responses = service.batch(batch)
+        except KeyboardInterrupt:
+            interrupted = True
+            print("interrupted; flushing service metrics", file=sys.stderr)
+        finally:
+            snapshot = service.metrics_snapshot()
+            service.close()
     errors = []
-    for (truth, _), resp in zip(batch, responses):
+    for truth, resp in zip(truths, responses):
         errors.append(resp.error_to(truth))
         flag = f" [degraded: {resp.reason}]" if resp.degraded else ""
         print(
@@ -728,192 +646,15 @@ def _cmd_batch_locate(args: argparse.Namespace) -> int:
             f"{resp.latency_s * 1e3:6.1f} ms{flag}"
         )
     if errors:
-        print(f"{len(responses)} queries, mean error "
-              f"{sum(errors) / len(errors):.2f} m")
-    _print_metrics(snapshot)
-    if interrupted:
-        return 130
-    if args.selftest:
-        mismatches = _serving_selftest(scenario, batch, responses)
-        if mismatches:
-            print(f"SELFTEST FAIL: {mismatches} mismatching queries",
-                  file=sys.stderr)
-            return 1
-        print("SELFTEST OK: service answers identical to direct localizer")
-    return 0
-
-
-def _serving_selftest(scenario, batch, responses) -> int:
-    """Count service answers differing from the direct localizer path."""
-    from .core import NomLocLocalizer
-
-    localizer = NomLocLocalizer(scenario.plan.boundary)
-    mismatches = 0
-    for (_, anchors), resp in zip(batch, responses):
-        direct = localizer.locate(anchors)
-        if resp.degraded or resp.position != direct.position:
-            mismatches += 1
-    return mismatches
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serving import LocalizationService, ServingConfig
-
-    try:
-        if args.queries < 1:
-            raise ValueError("--queries must be at least 1")
-        scenario, system, queries = _serving_setup(args)
-        config = ServingConfig(
-            max_workers=args.workers,
-            lp_batch=args.lp_batch,
-            queue_capacity=args.queue_capacity,
-            timeout_s=args.timeout,
-            cache_topologies=not args.no_cache,
-            cache_bisectors=not args.no_cache,
+        print(
+            f"served {len(errors)} queries, mean error "
+            f"{sum(errors) / len(errors):.2f} m"
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _trace_tracer(args)
-    mode = f"{args.workers} process workers" if args.workers else "sequential"
-    if args.lp_batch > 1:
-        mode += f", lp-batch {args.lp_batch}"
-    print(
-        f"serving {args.queries} queries against {scenario.name} "
-        f"({mode}, queue capacity {config.queue_capacity})"
-    )
-    truths = []
-    errors = []
-    interrupted = False
-    service = LocalizationService(scenario.plan.boundary, config=config)
-    try:
-        stream = queries(args.queries)
-
-        def requests():
-            for truth, anchors in stream:
-                truths.append(truth)
-                yield anchors
-
-        for resp in service.serve(requests()):
-            truth = truths[len(errors)]
-            errors.append(resp.error_to(truth))
-    except KeyboardInterrupt:
-        # SIGINT mid-stream: stop ingesting, but still flush and report
-        # the metrics of everything served so far.
-        interrupted = True
-        print("interrupted; flushing service metrics", file=sys.stderr)
-    finally:
-        snapshot = service.metrics_snapshot()
-        service.close()
-    if errors:
-        print(f"served {len(errors)} queries, mean error "
-              f"{sum(errors) / len(errors):.2f} m")
     _print_metrics(snapshot)
+    if args.trace_out:
+        written = obs.dump_jsonl(tracer.finished(), args.trace_out)
+        print(f"wrote {written} spans -> {args.trace_out}")
     return 130 if interrupted else 0
-
-
-def _print_cluster_metrics(snapshot: dict) -> None:
-    """Render a cluster metrics snapshot as aligned key/value lines."""
-    print(
-        f"  routed {snapshot['routed']} | degraded {snapshot['degraded']} | "
-        f"latency p50 {snapshot['latency_p50_s'] * 1e3:.1f} ms, "
-        f"p95 {snapshot['latency_p95_s'] * 1e3:.1f} ms | "
-        f"throughput {snapshot['throughput_qps']:.1f} q/s"
-    )
-    fleet = snapshot["services"]
-    print(
-        f"  fleet: {fleet['shard_count']} shards, "
-        f"{fleet['completed']} queries served, "
-        f"cache hit rate {fleet['cache_hit_rate']:.0%}, "
-        f"shed {fleet['queue_rejected_total']}"
-    )
-    spans = snapshot.get("spans")
-    if spans:
-        from .obs import format_stage_table
-
-        print("  stage breakdown:")
-        for line in format_stage_table(spans).splitlines():
-            print(f"    {line}")
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .cluster import ClusterConfig, LocalizationCluster
-    from .serving import ServingConfig
-
-    try:
-        if args.queries < 1:
-            raise ValueError("--queries must be at least 1")
-        scenario, system, queries = _serving_setup(args)
-        config = ClusterConfig(
-            num_shards=args.shards,
-            serving=ServingConfig(
-                max_workers=args.workers,
-                lp_batch=args.lp_batch,
-                timeout_s=args.timeout,
-                cache_topologies=not args.no_cache,
-                cache_bisectors=not args.no_cache,
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _trace_tracer(args)
-    print(
-        f"cluster of {args.shards} shard(s) "
-        f"serving {args.queries} queries against {scenario.name}"
-    )
-    batch = list(queries(args.queries))
-    responses = []
-    interrupted = False
-    cluster = LocalizationCluster(scenario.plan.boundary, config=config)
-    try:
-        responses = cluster.batch([anchors for _, anchors in batch])
-    except KeyboardInterrupt:
-        interrupted = True
-        print("interrupted; flushing cluster metrics", file=sys.stderr)
-        snapshot = cluster.metrics_snapshot()
-    else:
-        snapshot = cluster.metrics_snapshot()
-    finally:
-        cluster.close()
-    errors = [
-        resp.error_to(truth) for (truth, _), resp in zip(batch, responses)
-    ]
-    if errors:
-        degraded = sum(1 for r in responses if r.degraded)
-        print(
-            f"{len(responses)} queries routed, mean error "
-            f"{sum(errors) / len(errors):.2f} m, {degraded} flagged degraded"
-        )
-    _print_cluster_metrics(snapshot)
-    if interrupted:
-        return 130
-    if args.selftest:
-        mismatches = _cluster_selftest(scenario, batch, responses)
-        if mismatches:
-            print(
-                f"SELFTEST FAIL: {mismatches} mismatching queries",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            "SELFTEST OK: cluster answers identical to a single "
-            "sequential service"
-        )
-    return 0
-
-
-def _cluster_selftest(scenario, batch, responses) -> int:
-    """Count cluster answers differing from the direct localizer."""
-    from .core import NomLocLocalizer
-
-    localizer = NomLocLocalizer(scenario.plan.boundary)
-    mismatches = 0
-    for (_, anchors), resp in zip(batch, responses):
-        direct = localizer.locate(anchors)
-        if resp.estimate is None or resp.position != direct.position:
-            mismatches += 1
-    return mismatches
 
 
 def _cmd_guard(args: argparse.Namespace) -> int:
@@ -925,23 +666,9 @@ def _cmd_guard(args: argparse.Namespace) -> int:
         LinkFaultInjector,
         LinkFaultPlan,
         parse_fault_spec,
-        run_selftest,
     )
 
-    if args.selftest:
-        result = run_selftest(seed=args.seed)
-        for check in result["checks"]:
-            mark = "ok " if check["passed"] else "FAIL"
-            print(f"  [{mark}] {check['name']}: {check['detail']}")
-        if not result["passed"]:
-            print("GUARD SELFTEST FAIL", file=sys.stderr)
-            return 1
-        print("GUARD SELFTEST OK: all corruption drills detected and gated")
-        return 0
-
     try:
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
         scenario = get_scenario(args.scenario)
         plan = LinkFaultPlan(
             tuple(parse_fault_spec(spec) for spec in args.faults)
@@ -1013,9 +740,8 @@ def _parse_zone_grid(spec: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
-    """One seeded tracking run: objects walk, estimates stream, sessions
-    track.  Returns the manager plus per-fix errors and the log digest."""
+def _cmd_track(args: argparse.Namespace) -> int:
+    """Seeded tracking run: objects walk, estimates stream, sessions track."""
     from .core import NomLocSystem, SystemConfig
     from .environment import get_scenario
     from .geometry import Point
@@ -1023,31 +749,37 @@ def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
     from .sessions import GeofenceRule, SessionConfig, SessionManager, ZoneMap
     from .tracking import random_trajectory
 
-    rows, cols = _parse_zone_grid(args.zones)
-    scenario = get_scenario(args.scenario)
+    try:
+        scenario = get_scenario(args.scenario)
+        rows, cols = _parse_zone_grid(args.zones)
+        if (args.kill_after or args.resume) and not args.durable:
+            raise ValueError("--kill-after/--resume need --durable")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     system = NomLocSystem(
         scenario, SystemConfig(packets_per_link=args.packets)
     )
     plan = scenario.plan
     zones = ZoneMap.grid(plan.boundary, rows, cols)
     # The far corner of the grid doubles as a geofenced demo zone so the
-    # drill exercises the alert path whenever a walk wanders into it.
+    # run exercises the alert path whenever a walk wanders into it.
     rules = (GeofenceRule(zone=zones.names()[-1], forbidden=True),)
     session_config = SessionConfig(
         filter_kind=args.filter,
-        modulate_noise=modulate,
+        modulate_noise=not args.blind,
         idle_timeout_s=max(30.0, 4.0 * args.steps),
         seed=args.seed,
     )
     store = None
     recovery = None
     applied_skip = 0  # fixes already journaled (resume skips them)
-    if getattr(args, "durable", False):
+    if args.durable:
         from .sessions import SessionStore
         from .sessions.durable import recover
 
         store = SessionStore(args.db, group_commit=args.group_commit)
-        if getattr(args, "resume", False):
+        if args.resume:
             manager, recovery = recover(
                 store,
                 zones,
@@ -1089,7 +821,6 @@ def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
         ),
     )
     errors: list[float] = []
-    kill_after = getattr(args, "kill_after", 0) or 0
     applied = 0  # fixes applied by THIS process
     try:
         for tick in range(args.steps):
@@ -1128,7 +859,7 @@ def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
                 )
                 errors.append(update.position.distance_to(truth))
                 applied += 1
-                if kill_after and applied >= kill_after:
+                if args.kill_after and applied >= args.kill_after:
                     # The crash half of the recovery drill: die without
                     # flushing, cleanup, or goodbyes — exactly SIGKILL.
                     os.kill(os.getpid(), signal.SIGKILL)
@@ -1136,106 +867,20 @@ def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
         service.close()
         if store is not None:
             manager.sync()
-    result = {
-        "manager": manager,
-        "zones": zones,
-        "errors": errors,
-        "digest": manager.event_log.digest(),
-        "chain": manager.event_log.chain(),
-        "recovery": recovery,
-    }
-    if store is not None:
-        result["store_counts"] = store.counts()
-        store.close()
-    return result
-
-
-def _track_selftest(args: argparse.Namespace) -> int:
-    """Gate on the session layer's determinism + confidence contracts."""
-    first = _track_run(args)
-    second = _track_run(args)
-    corrupt_args = argparse.Namespace(**vars(args))
-    corrupt_args.corrupt = max(args.corrupt, 0.25)
-    modulated = _track_run(corrupt_args, modulate=True)
-    blind = _track_run(corrupt_args, modulate=False)
-
-    def median(values: list[float]) -> float:
-        return sorted(values)[len(values) // 2]
-
-    counts = first["manager"].event_log.counts()
-    checks = [
-        (
-            "seeded replay produces byte-identical event logs",
-            first["digest"] == second["digest"],
-        ),
-        (
-            "seeded replay produces identical track errors",
-            first["errors"] == second["errors"],
-        ),
-        (
-            "confidence-modulated filtering beats blind under "
-            f"{corrupt_args.corrupt:.0%} corruption "
-            f"({median(modulated['errors']):.2f} m vs "
-            f"{median(blind['errors']):.2f} m median)",
-            median(modulated["errors"]) < median(blind["errors"]),
-        ),
-        (
-            "zone events are well-formed (enters >= exits)",
-            counts.get("enter", 0) >= counts.get("exit", 0),
-        ),
-    ]
-    for name, passed in checks:
-        print(f"  {'ok  ' if passed else 'FAIL'} {name}")
-    if all(passed for _, passed in checks):
-        print("SELFTEST OK: tracking sessions deterministic and "
-              "confidence-aware")
-        return 0
-    print("SELFTEST FAIL", file=sys.stderr)
-    return 1
-
-
-def _cmd_track(args: argparse.Namespace) -> int:
-    from .environment import get_scenario
-
-    try:
-        get_scenario(args.scenario)
-        _parse_zone_grid(args.zones)
-        if args.objects < 1:
-            raise ValueError("--objects must be at least 1")
-        if args.steps < 2:
-            raise ValueError("--steps must be at least 2")
-        if not 0.0 <= args.corrupt < 1.0:
-            raise ValueError("--corrupt must be in [0, 1)")
-        if args.checkpoint_every < 1:
-            raise ValueError("--checkpoint-every must be at least 1")
-        if args.group_commit < 1:
-            raise ValueError("--group-commit must be at least 1")
-        if args.kill_after < 0:
-            raise ValueError("--kill-after must be non-negative")
-        if (args.kill_after or args.resume) and not args.durable:
-            raise ValueError("--kill-after/--resume need --durable")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.selftest:
-        return _track_selftest(args)
-    run = _track_run(args, modulate=not args.blind)
-    manager, zones = run["manager"], run["zones"]
-    rows, cols = _parse_zone_grid(args.zones)
     arm = "blind" if args.blind else "confidence-modulated"
     print(
         f"tracked {args.objects} object(s) for {args.steps} ticks over a "
         f"{rows}x{cols} zone grid ({args.filter} filter, {arm} noise)"
     )
-    if run["recovery"] is not None:
-        report = run["recovery"]
+    if recovery is not None:
         print(
-            f"recovered from {args.db}: snapshot@{report.snapshot_seq}, "
-            f"{report.replayed} journal entries replayed, "
-            f"{report.events} events verified onto the pre-crash chain"
+            f"recovered from {args.db}: snapshot@{recovery.snapshot_seq}, "
+            f"{recovery.replayed} journal entries replayed, "
+            f"{recovery.events} events verified onto the pre-crash chain"
         )
-    if "store_counts" in run:
-        counts = run["store_counts"]
+    if store is not None:
+        counts = store.counts()
+        store.close()
         print(
             f"session store {args.db}: {counts['journal']} journal rows "
             f"({counts['fixes']} fixes), {counts['snapshots']} snapshot(s)"
@@ -1248,7 +893,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
             f"sigma {session.filter.position_sigma_m():.2f} m, "
             f"in [{inside}]"
         )
-    errors = sorted(run["errors"])
+    errors.sort()
     print(
         f"track error median {errors[len(errors) // 2]:.2f} m, "
         f"max {errors[-1]:.2f} m over {len(errors)} fixes"
@@ -1266,7 +911,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
             f"(peak {stats['peak_occupancy']}), {stats['visits']} visit(s), "
             f"mean dwell {stats['mean_dwell_s']:.1f} s"
         )
-    print(f"event log digest {run['digest']}")
+    print(f"event log digest {manager.event_log.digest()}")
     return 0
 
 
@@ -1287,8 +932,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.selftest:
-        return _gateway_selftest(args, scenario, config)
 
     async def serve() -> None:
         server = GatewayServer(scenario.plan.boundary, config=config)
@@ -1306,224 +949,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # non-Unix fallback; Unix path drains in-loop
         pass
-    return 0
-
-
-def _gateway_selftest(args, scenario, config) -> int:
-    """In-process round trip over a real socket, gated on bit-exactness.
-
-    Four checks, mirroring the ``cluster --selftest`` conventions:
-    answers served over the wire equal the direct service's bit for bit;
-    a replayed batch_id re-acks as a duplicate without double-ingesting;
-    a burst pipelined on one connection is acked in request order with
-    exactly one position push per ack; and after a graceful drain every
-    acked batch has a stored estimate (no acknowledged write lost).
-    """
-    import asyncio
-    import tempfile
-    from dataclasses import replace as dc_replace
-    from pathlib import Path
-
-    from .gateway import (
-        AsyncGatewayClient,
-        GatewayServer,
-        LoadGenConfig,
-        MeasurementLedger,
-        run_loadgen,
-    )
-    from .gateway.client import batch_payload
-    from .serving import LocalizationService
-
-    _, _, queries = _serving_setup(args)
-    batch = list(queries(6))
-    anchor_sets = [anchors for _, anchors in batch]
-
-    async def pipelined_burst(server, client, burst: list[str]) -> int:
-        """One burst pipelined on one connection: the acks must come
-        back in request order, and each acked batch must push exactly
-        one ``position`` event."""
-        object_id = "selftest-burst"
-        # resume_from=0 replays anything published before the
-        # subscription lands, so no push can be missed.
-        stream = client.stream(object_id, resume_from=0)
-        pushed: list[str] = []
-
-        async def consume() -> None:
-            async for event in stream:
-                if event.get("type") == "position":
-                    pushed.append(event["batch_id"])
-                if len(pushed) == len(burst):
-                    return
-
-        consumer = asyncio.ensure_future(consume())
-        responses = await client.pipeline(
-            [
-                (
-                    "POST",
-                    "/v1/measurements",
-                    batch_payload(
-                        batch_id,
-                        anchor_sets[i % len(anchor_sets)],
-                        object_id=object_id,
-                    ),
-                )
-                for i, batch_id in enumerate(burst)
-            ]
-        )
-        try:
-            await asyncio.wait_for(consumer, timeout=30.0)
-        except asyncio.TimeoutError:
-            pass
-        await stream.aclose()
-        acked = [
-            r.json().get("batch_id")
-            for r in responses
-            if r.status == 200 and not r.json().get("duplicate")
-        ]
-        failures = 0
-        if acked != burst:
-            print(
-                f"  FAIL: pipelined acks out of order or missing: {acked}",
-                file=sys.stderr,
-            )
-            failures += 1
-        if sorted(pushed) != sorted(burst):
-            print(
-                f"  FAIL: {len(pushed)} position pushes for {len(burst)} "
-                "acks (want exactly one each)",
-                file=sys.stderr,
-            )
-            failures += 1
-        print(
-            f"  pipelined burst: {len(acked)}/{len(burst)} acks in request "
-            f"order on one connection, {len(pushed)} position pushes"
-        )
-        return failures
-
-    async def run(db_path: str) -> int:
-        test_config = dc_replace(config, port=0, db_path=db_path)
-        server = GatewayServer(scenario.plan.boundary, config=test_config)
-        await server.start()
-        client = AsyncGatewayClient(server.host, server.port)
-        failures = 0
-        with LocalizationService(scenario.plan.boundary) as direct:
-            for i, anchors in enumerate(anchor_sets):
-                wire = await client.locate(anchors, query_id=f"selftest-{i}")
-                reference = direct.locate(anchors, query_id=f"selftest-{i}")
-                if (
-                    wire["degraded"]
-                    or wire["position"]["x"] != reference.position.x
-                    or wire["position"]["y"] != reference.position.y
-                ):
-                    failures += 1
-        print(
-            f"  locate round-trip: {len(anchor_sets)} queries over "
-            f"http://{server.host}:{server.port}, {failures} mismatches"
-        )
-        ack = await client.submit_batch(
-            "selftest-batch", anchor_sets[0], object_id="obj", wait=True
-        )
-        dup = await client.submit_batch(
-            "selftest-batch", anchor_sets[0], object_id="obj", wait=True
-        )
-        if ack["duplicate"] or not dup["duplicate"]:
-            print("  FAIL: idempotent replay mis-acked", file=sys.stderr)
-            failures += 1
-        if dup["estimate"]["position"] != ack["estimate"]["position"]:
-            print("  FAIL: replayed ack changed the answer", file=sys.stderr)
-            failures += 1
-        burst = [f"selftest-burst-{i}" for i in range(16)]
-        failures += await pipelined_burst(server, client, burst)
-        report = await run_loadgen(
-            server.host,
-            server.port,
-            anchor_sets,
-            LoadGenConfig(
-                connections=4,
-                duration_s=args.load_s,
-                mode="measurements",
-                batch_prefix="selftest-load",
-            ),
-        )
-        p95_s = report.latency_quantile(95.0)
-        print(
-            f"  loadgen: {report.completed} batches acked at "
-            f"{report.qps:.0f} q/s (p95 {p95_s * 1e3:.1f} ms), "
-            f"{report.errors} errors"
-        )
-        if report.errors or not report.completed:
-            print("  FAIL: loadgen campaign hit errors", file=sys.stderr)
-            failures += 1
-        if p95_s > args.p95_bound_s:
-            print(
-                f"  FAIL: loadgen p95 {p95_s:.3f}s exceeds the "
-                f"{args.p95_bound_s:.3f}s bound",
-                file=sys.stderr,
-            )
-            failures += 1
-        await client.close()
-        await server.stop()
-        with MeasurementLedger(db_path) as ledger:
-            lost = [
-                bid
-                for bid in ["selftest-batch", *burst, *report.acked_batch_ids]
-                if ledger.get_estimate(bid) is None
-            ]
-        if lost:
-            print(
-                f"  FAIL: {len(lost)} acked batches lost across drain",
-                file=sys.stderr,
-            )
-            failures += 1
-        else:
-            print(
-                f"  drain durability: "
-                f"{1 + len(burst) + len(report.acked_batch_ids)} "
-                "acked batches all answered in the ledger"
-            )
-        return failures
-
-    with tempfile.TemporaryDirectory() as tmp:
-        failures = asyncio.run(run(str(Path(tmp) / "selftest.db")))
-    if failures:
-        print(f"SELFTEST FAIL: {failures} failing checks", file=sys.stderr)
-        return 1
-    print(
-        "SELFTEST OK: socket answers identical to direct service; "
-        "acked ingest survived the drain"
-    )
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import dump_jsonl, format_stage_table, profile_scenario
-
-    try:
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        result = profile_scenario(
-            args.scenario,
-            queries=args.count,
-            packets=args.packets,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"profiled {len(result.errors_m)} queries over {args.scenario} "
-        f"({args.packets} packets/link, seed {args.seed}): mean error "
-        f"{sum(result.errors_m) / len(result.errors_m):.2f} m"
-    )
-    print()
-    print(format_stage_table(result.stages()))
-    print()
-    # The stage table above already covers the "spans" aggregate.
-    metrics = {k: v for k, v in result.metrics.items() if k != "spans"}
-    _print_metrics(metrics)
-    if args.trace_out:
-        written = dump_jsonl(result.spans, args.trace_out)
-        print(f"wrote {written} spans -> {args.trace_out}")
     return 0
 
 

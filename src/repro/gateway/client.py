@@ -3,7 +3,7 @@
 :class:`AsyncGatewayClient` is the canonical implementation — one
 persistent HTTP connection per client (the loadgen opens many), plus
 separate WebSocket connections for streaming.  :class:`GatewayClient`
-wraps it behind blocking calls for the CLI selftest, tests and scripts:
+wraps it behind blocking calls for tests and scripts:
 it owns a private event loop so the keep-alive connection survives
 between calls.
 """

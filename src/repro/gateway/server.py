@@ -136,6 +136,8 @@ class GatewayConfig:
     ws_idle_pings: int = 2
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         if self.max_inflight < 1:

@@ -25,7 +25,6 @@ from .policy import (
     GuardedSystem,
     InsufficientLinksError,
     gate_records,
-    run_selftest,
 )
 from .quality import GuardConfig, LinkStatus, LinkVerdict, assess_link
 from .sanity import StructuralReport, inspect_batch
@@ -47,5 +46,4 @@ __all__ = [
     "GateResult",
     "gate_records",
     "GuardedSystem",
-    "run_selftest",
 ]

@@ -30,7 +30,7 @@ from ..core.system import LinkRecord, NomLocSystem
 from ..geometry import Point
 from ..mobility import MobilityPattern
 from ..obs import span
-from .faults import LinkFaultInjector, LinkFaultPlan
+from .faults import LinkFaultInjector
 from .quality import GuardConfig, LinkStatus, LinkVerdict, assess_link
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "GateResult",
     "gate_records",
     "GuardedSystem",
-    "run_selftest",
 ]
 
 
@@ -373,116 +372,3 @@ class GuardedSystem:
                 )
             )
         return GateResult(tuple(anchors), None, tuple(verdicts))
-
-
-# ----------------------------------------------------------------------
-# Self-test drill
-# ----------------------------------------------------------------------
-def run_selftest(seed: int = 7) -> dict:
-    """Scripted corruption drill proving the guard layer end to end.
-
-    Four checks on the built-in lab scenario: (1) the gated zero-fault
-    path reproduces the ungated estimate bit-for-bit; (2) NaN bursts are
-    caught and down-weighted, never silently averaged; (3) a full AP
-    outage is rejected while localization still answers; (4) an
-    oscillator phase smear is detected as dispersed CIR energy and the
-    link salvaged at reduced weight instead of trusted or dropped.
-    Returns ``{"passed": bool, "checks": [...]}`` — the ``repro guard
-    --selftest`` CLI and the CI smoke step print and gate on it.
-    """
-    from ..core.system import SystemConfig
-    from ..environment import get_scenario
-
-    scenario = get_scenario("lab")
-    config = SystemConfig(packets_per_link=24, trace_steps=6)
-    checks: list[dict] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    # 1. Bit-exactness with no faults scheduled.
-    clean = NomLocSystem(scenario, config)
-    ungated = clean.locate(scenario.test_sites[0], np.random.default_rng(seed))
-    guarded = GuardedSystem(
-        NomLocSystem(scenario, config), injector=LinkFaultInjector()
-    )
-    gated = guarded.locate(
-        scenario.test_sites[0], np.random.default_rng(seed)
-    )
-    identical = (
-        gated.position.x == ungated.position.x
-        and gated.position.y == ungated.position.y
-        and gated.confidence == 1.0
-        and gated.degradation_reasons == ()
-    )
-    check(
-        "zero-fault-bit-identical",
-        identical,
-        f"ungated=({ungated.position.x:.6f}, {ungated.position.y:.6f}) "
-        f"gated=({gated.position.x:.6f}, {gated.position.y:.6f}) "
-        f"confidence={gated.confidence}",
-    )
-
-    # 2. NaN bursts degrade, never poison.
-    nan_sys = GuardedSystem(
-        NomLocSystem(scenario, config),
-        injector=LinkFaultInjector(
-            LinkFaultPlan.nan_burst(0.5, ap="AP2"), seed=seed
-        ),
-    )
-    est, result = nan_sys.locate_with_result(
-        scenario.test_sites[1], np.random.default_rng(seed)
-    )
-    nan_caught = any(
-        "non-finite-csi" in v.reasons and v.quality < 1.0
-        for v in result.verdicts
-        if v.name == "AP2"
-    )
-    check(
-        "nan-burst-degrades",
-        nan_caught and est.confidence < 1.0 and np.isfinite(est.position.x),
-        f"AP2 verdicts={[v.reasons for v in result.verdicts if v.name == 'AP2']} "
-        f"confidence={est.confidence:.3f}",
-    )
-
-    # 3. A dead AP is rejected; localization still answers.
-    outage_sys = GuardedSystem(
-        NomLocSystem(scenario, config),
-        injector=LinkFaultInjector(
-            LinkFaultPlan.outage(1.0, ap="AP3"), seed=seed
-        ),
-    )
-    est, result = outage_sys.locate_with_result(
-        scenario.test_sites[2], np.random.default_rng(seed)
-    )
-    check(
-        "outage-rejected",
-        "AP3" in result.rejected and np.isfinite(est.position.x),
-        f"rejected={result.rejected}",
-    )
-
-    # 4. Phase smear is detected and the link salvaged, not trusted.
-    phase_sys = GuardedSystem(
-        NomLocSystem(scenario, config),
-        injector=LinkFaultInjector(
-            LinkFaultPlan.phase_offset(1.0, ap="AP4"), seed=seed
-        ),
-    )
-    est, result = phase_sys.locate_with_result(
-        scenario.test_sites[3], np.random.default_rng(seed)
-    )
-    phase_salvaged = any(
-        v.name == "AP4"
-        and "dispersed-cir-energy" in v.reasons
-        and v.status is LinkStatus.DEGRADED
-        and v.quality < 1.0
-        for v in result.verdicts
-    )
-    check(
-        "phase-smear-salvaged",
-        phase_salvaged and np.isfinite(est.position.x),
-        f"AP4 verdicts="
-        f"{[(v.status.value, v.reasons) for v in result.verdicts if v.name == 'AP4']}",
-    )
-
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}

@@ -12,9 +12,7 @@ paper's SLV analysis attributes error to them:
   hot path costs ~nothing (benchmark-guarded);
 * :mod:`~repro.obs.exporters` — JSONL trace files and the per-stage
   count/total/p50/p95 aggregator that merges into serving metrics
-  snapshots;
-* :mod:`~repro.obs.profile` — the ``repro profile`` engine: trace a
-  reproducible batch of end-to-end queries.
+  snapshots (``repro serve --trace`` prints its table).
 
 Instrumented call sites only ever do::
 
@@ -42,12 +40,10 @@ from .instrument import (
     is_enabled,
     span,
 )
-from .profile import ProfileResult, profile_scenario
 from .trace import Span, Tracer
 
 __all__ = [
     "NULL_SPAN",
-    "ProfileResult",
     "Span",
     "SpanAggregator",
     "Tracer",
@@ -62,7 +58,6 @@ __all__ = [
     "get_tracer",
     "is_enabled",
     "load_jsonl",
-    "profile_scenario",
     "span",
     "write_jsonl",
 ]

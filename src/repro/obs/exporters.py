@@ -5,7 +5,7 @@ collects:
 
 * **JSONL export** — one span per line, loadable by any tooling (or by
   :func:`load_jsonl` for a lossless round-trip).  This is the raw-trace
-  path behind ``repro profile --trace-out``.
+  path behind ``repro serve --trace-out``.
 * **Aggregation** — :class:`SpanAggregator` folds spans into per-name
   count / total / mean / p50 / p95 rows plus summed counters.  Its
   :meth:`~SpanAggregator.snapshot` dict merges into

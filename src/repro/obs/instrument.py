@@ -18,7 +18,7 @@ the disabled cost is one function call plus a ``None`` check, guarded by
 the instrumented code computes; it only observes wall time.
 
 Enabling is process-global on purpose: tracing is an operator decision
-(the ``repro profile`` command, a debugging session), not a per-call-site
+(``repro serve --trace``, a debugging session), not a per-call-site
 one, and a module-level global is the cheapest thing the disabled path
 can read.  :func:`capture` scopes enablement for tests.
 """

@@ -4,15 +4,15 @@ The production-facing face of the reproduction (see DESIGN.md, "Serving
 architecture"): a :class:`LocalizationService` that answers anchor-set
 queries from a long-lived process through one stacked-solver request
 handler, reusing the topology-dependent constraint prefix across
-queries, optionally running queued work on worker processes, shedding
-load through a bounded admission queue, and degrading gracefully to the
+queries, optionally running queued work on worker processes, bounding
+the work in flight with an admission queue, and degrading gracefully to the
 weighted-centroid baseline when the LP fails or a deadline expires.
 """
 
 from .cache import BisectorCache, CacheStats, LocalizerCache, topology_key
 from .metrics import LatencyReservoir, ServiceMetrics, json_safe, percentile
 from .procpool import ProcessPool
-from .queueing import AdmissionQueue, QueueFullError
+from .queueing import AdmissionQueue
 from .service import (
     LocalizationRequest,
     LocalizationResponse,
@@ -34,7 +34,6 @@ __all__ = [
     "LocalizerCache",
     "percentile",
     "ProcessPool",
-    "QueueFullError",
     "ServiceClosedError",
     "ServiceMetrics",
     "ServingConfig",

@@ -1,21 +1,16 @@
 """Bounded admission control for the localization service.
 
-The service accepts a request only while fewer than ``capacity`` queries
-are in flight (queued or executing).  A full queue *rejects* rather than
-buffers unboundedly — callers see :class:`QueueFullError` immediately and
-can shed load upstream, which is the behaviour a heavily loaded
-localization backend needs (a late position fix is worthless).
+The service admits a request only while fewer than ``capacity`` queries
+are in flight (queued or executing); a caller beyond that waits for a
+slot, so the in-flight work — and the memory behind it — stays bounded
+however large a batch is.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["QueueFullError", "AdmissionQueue"]
-
-
-class QueueFullError(RuntimeError):
-    """Raised when a request is submitted to a service at capacity."""
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
@@ -31,7 +26,6 @@ class AdmissionQueue:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self._depth = 0
-        self._rejected_total = 0
         self._cond = threading.Condition()
 
     @property
@@ -40,43 +34,10 @@ class AdmissionQueue:
         with self._cond:
             return self._depth
 
-    @property
-    def rejected_total(self) -> int:
-        """Submissions bounced off the full queue since construction.
-
-        Counts both immediate :meth:`try_acquire` rejections and
-        :meth:`acquire` timeouts — the shed-load signal a cluster router
-        (or :class:`~repro.serving.metrics.ServiceMetrics` snapshot)
-        reads to see backpressure, not just the instantaneous depth.
-        """
+    def acquire(self) -> None:
+        """Take a slot, blocking until one frees up."""
         with self._cond:
-            return self._rejected_total
-
-    def try_acquire(self) -> None:
-        """Take a slot or raise :class:`QueueFullError` immediately."""
-        with self._cond:
-            if self._depth >= self.capacity:
-                self._rejected_total += 1
-                raise QueueFullError(
-                    f"request queue full ({self.capacity} in flight)"
-                )
-            self._depth += 1
-
-    def acquire(self, timeout: float | None = None) -> None:
-        """Take a slot, blocking until one frees up.
-
-        Raises :class:`QueueFullError` when ``timeout`` (seconds) elapses
-        first; ``None`` waits indefinitely.
-        """
-        with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._depth < self.capacity, timeout
-            ):
-                self._rejected_total += 1
-                raise QueueFullError(
-                    f"request queue full ({self.capacity} in flight) "
-                    f"after {timeout}s"
-                )
+            self._cond.wait_for(lambda: self._depth < self.capacity)
             self._depth += 1
 
     def release(self) -> None:

@@ -17,8 +17,8 @@ whole constraint system per call:
   serves queued work on a
   :class:`~repro.serving.procpool.ProcessPool` — results are
   bit-identical either way;
-* a bounded :class:`~repro.serving.queueing.AdmissionQueue` sheds load
-  instead of buffering it, a per-query deadline bounds tail latency,
+* a bounded :class:`~repro.serving.queueing.AdmissionQueue` caps the
+  queries in flight, a per-query deadline bounds tail latency,
   and LP failures or timeouts degrade gracefully to the
   PDP-weighted-centroid baseline with the degraded path flagged in the
   response;
@@ -31,14 +31,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core import Anchor, LocalizerConfig, LocationEstimate, NomLocLocalizer
 from ..geometry import Point, Polygon
 from ..obs import aggregate, get_tracer, span
 from .cache import BisectorCache, LocalizerCache
 from .metrics import ServiceMetrics, json_safe
-from .queueing import AdmissionQueue, QueueFullError
+from .queueing import AdmissionQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layer cycle
     from ..guard.policy import GateResult
@@ -87,10 +87,8 @@ class ServingConfig:
     ----------
     max_workers:
         ``0`` (default) serves every query inline on the calling thread;
-        ``N >= 1`` runs queued work (:meth:`~LocalizationService.submit`,
-        :meth:`~LocalizationService.batch`,
-        :meth:`~LocalizationService.serve`) on a
-        :class:`~repro.serving.procpool.ProcessPool` of ``N``
+        ``N >= 1`` runs queued work (:meth:`~LocalizationService.batch`)
+        on a :class:`~repro.serving.procpool.ProcessPool` of ``N``
         processes — real parallelism for the GIL-bound LP solves, with
         the warmed topology/bisector caches fork-inherited by every
         worker.  :meth:`~LocalizationService.locate` and
@@ -103,8 +101,8 @@ class ServingConfig:
         queries per NumPy pass instead of one.  ``0``/``1`` means chunks
         of one.  Each worker process solves whole chunks.
     queue_capacity:
-        In-flight request bound; non-blocking submissions beyond it are
-        rejected with :class:`~repro.serving.queueing.QueueFullError`.
+        In-flight request bound; :meth:`~LocalizationService.batch`
+        waits for a slot beyond it, and caps its chunks at it.
     timeout_s:
         Default per-query deadline (seconds), checked before and after
         the stacked solve; ``None`` disables it.  On expiry the query
@@ -371,27 +369,13 @@ class LocalizationService:
         """
         return self._serve([request])[0]
 
-    def submit(self, request: LocalizationRequest | Sequence[Anchor]):
-        """Enqueue one query without blocking; returns its future.
-
-        Raises
-        ------
-        QueueFullError
-            When the service already has ``queue_capacity`` requests in
-            flight — the caller should shed or retry later
-            (backpressure).
-        """
-        request = self._admit(request, block=False)
-        return self._dispatch([request], time.perf_counter(), unwrap=True)
-
     def batch(
         self, requests: Iterable[LocalizationRequest | Sequence[Anchor]]
     ) -> list[LocalizationResponse]:
         """Serve a batch, blocking for admission; responses in input order.
 
-        Unlike :meth:`submit`, a full queue here *waits* for a slot
-        instead of rejecting — a batch caller wants all answers.
-        Consecutive requests are grouped into chunks of
+        A full queue *waits* for a slot — a batch caller wants all
+        answers.  Consecutive requests are grouped into chunks of
         :attr:`ServingConfig.lp_batch` (capped at the queue capacity, so
         a chunk can always be admitted whole), each solved through one
         stacked-LP pass — positions stay bit-identical to per-request
@@ -401,38 +385,13 @@ class LocalizationService:
         futures = []
         chunk: list[LocalizationRequest] = []
         for request in requests:
-            chunk.append(self._admit(request, block=True))
+            chunk.append(self._admit(request))
             if len(chunk) == size:
                 futures.append(self._dispatch(chunk, time.perf_counter()))
                 chunk = []
         if chunk:
             futures.append(self._dispatch(chunk, time.perf_counter()))
         return [response for f in futures for response in f.result()]
-
-    def serve(
-        self,
-        requests: Iterable[LocalizationRequest | Sequence[Anchor]],
-        window: int | None = None,
-    ) -> Iterator[LocalizationResponse]:
-        """Stream responses for a request stream, preserving order.
-
-        Keeps at most ``window`` queries in flight (default:
-        ``2 * max_workers``, min 1), yielding each response as soon as
-        its turn completes — the shape of a server's ingest loop without
-        the sockets.
-        """
-        if window is None:
-            window = max(1, 2 * self.config.max_workers)
-        pending: list[Future] = []
-        for request in requests:
-            request = self._admit(request, block=True)
-            pending.append(
-                self._dispatch([request], time.perf_counter(), unwrap=True)
-            )
-            while len(pending) >= window:
-                yield pending.pop(0).result()
-        while pending:
-            yield pending.pop(0).result()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -446,10 +405,7 @@ class LocalizationService:
         span finished so far — the serving metrics and the pipeline
         stage breakdown read as one observable state.
         """
-        snap = self.metrics.snapshot(
-            queue_depth=self.queue.depth,
-            queue_rejected=self.queue.rejected_total,
-        )
+        snap = self.metrics.snapshot(queue_depth=self.queue.depth)
         tracer = get_tracer()
         if tracer is not None:
             snap["spans"] = aggregate(tracer.finished())
@@ -500,19 +456,12 @@ class LocalizationService:
         return LocalizationRequest(tuple(request))
 
     def _admit(
-        self, request: LocalizationRequest | Sequence[Anchor], block: bool
+        self, request: LocalizationRequest | Sequence[Anchor]
     ) -> LocalizationRequest:
-        """Take an admission slot for one request (waiting if ``block``)."""
+        """Take an admission slot for one request, waiting for one."""
         self._check_open()
         request = self._coerce(request)
-        if block:
-            self.queue.acquire()
-        else:
-            try:
-                self.queue.try_acquire()
-            except QueueFullError:
-                self.metrics.record_rejected()
-                raise
+        self.queue.acquire()
         self.metrics.record_admitted()
         return request
 
@@ -523,15 +472,11 @@ class LocalizationService:
         return NomLocLocalizer(area, self.localizer_config).warm(), False
 
     def _dispatch(
-        self,
-        chunk: list[LocalizationRequest],
-        admitted_at: float,
-        unwrap: bool = False,
+        self, chunk: list[LocalizationRequest], admitted_at: float
     ) -> Future:
         """Serve one admitted chunk inline or on a worker process.
 
-        The returned future resolves to the chunk's responses — or, with
-        ``unwrap`` (single-request submissions), to its lone response.
+        The returned future resolves to the chunk's responses.
         ``admitted_at`` is the admission timestamp; the gap to the start
         of the solve is the queue wait, the load component of latency,
         reported separately from compute.  Admission slots are freed
@@ -539,7 +484,7 @@ class LocalizationService:
         """
         if self.proc_pool is not None:
             return self._wrap_process_future(
-                self.proc_pool.submit_chunk(chunk), chunk, admitted_at, unwrap
+                self.proc_pool.submit_chunk(chunk), chunk, admitted_at
             )
         future: Future = Future()
         queue_wait_s = max(0.0, time.perf_counter() - admitted_at)
@@ -547,7 +492,7 @@ class LocalizationService:
             for _ in chunk:
                 self.metrics.record_queue_wait(queue_wait_s)
             responses = self._serve(chunk, queue_wait_s)
-            future.set_result(responses[0] if unwrap else responses)
+            future.set_result(responses)
         except BaseException as exc:  # noqa: BLE001 — future carries it
             future.set_exception(exc)
         finally:
@@ -560,7 +505,6 @@ class LocalizationService:
         raw: Future,
         requests: list[LocalizationRequest],
         admitted_at: float,
-        unwrap: bool,
     ) -> Future:
         """Account for process-worker results on the parent side.
 
@@ -604,7 +548,7 @@ class LocalizationService:
             finally:
                 for _ in requests:
                     self.queue.release()
-            wrapped.set_result(responses[0] if unwrap else responses)
+            wrapped.set_result(responses)
 
         raw.add_done_callback(_done)
         return wrapped

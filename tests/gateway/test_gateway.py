@@ -21,7 +21,9 @@ from repro.gateway import (
     GatewayConfig,
     GatewayError,
     GatewayServer,
+    LoadGenConfig,
     MeasurementLedger,
+    run_loadgen,
 )
 from repro.serving import LocalizationRequest, LocalizationService
 
@@ -51,6 +53,13 @@ def direct_answers(lab, anchor_sets):
         ]
     finally:
         service.close()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("port", [-5, 65536])
+    def test_port_outside_range_rejected(self, port):
+        with pytest.raises(ValueError, match="port"):
+            GatewayConfig(port=port)
 
 
 class TestRoundTrip:
@@ -535,6 +544,33 @@ class TestDurability:
             assert counts["batches"] == len(acked)
             assert counts["pending"] == 0, "drain lost acked batches"
             for batch_id in acked:
+                assert ledger.get_estimate(batch_id) is not None
+
+    def test_loadgen_acks_survive_drain(self, lab, anchor_sets, tmp_path):
+        """A durable-ingest campaign on four connections: no errors, a
+        bounded tail, and every acked batch answered after the drain."""
+        db = tmp_path / "load.db"
+
+        async def scenario():
+            server = make_server(lab, db)
+            await server.start()
+            report = await run_loadgen(
+                server.host,
+                server.port,
+                anchor_sets,
+                LoadGenConfig(
+                    connections=4, duration_s=0.5, mode="measurements"
+                ),
+            )
+            await server.stop()
+            return report
+
+        report = run(scenario())
+        assert report.errors == 0
+        assert report.completed > 0
+        assert report.latency_quantile(95.0) <= 2.0
+        with MeasurementLedger(db) as ledger:
+            for batch_id in report.acked_batch_ids:
                 assert ledger.get_estimate(batch_id) is not None
 
     def test_kill_replay_answers_backlog_bit_identically(

@@ -5,7 +5,8 @@ gateway reads them while earlier ones are still in flight, group-commits
 their ledger rows and coalesces their solves, and these tests pin the
 contracts that must survive that concurrency:
 
-* responses leave in request order, whatever order the work finishes in;
+* responses leave in request order, whatever order the work finishes in,
+  and each acked batch pushes exactly one ``position`` event;
 * ``Connection: close`` ends a pipeline, and a WebSocket upgrade after
   pipelined requests still works;
 * no ack leaves before the commit that covers its row has returned;
@@ -137,6 +138,55 @@ class TestResponseOrder:
             "x": ref2.position.x,
             "y": ref2.position.y,
         }
+
+    def test_burst_acks_in_order_with_one_push_each(
+        self, lab, anchor_sets, tmp_path
+    ):
+        burst = [f"b{i}" for i in range(16)]
+
+        async def scenario():
+            async with make_server(lab, tmp_path / "b.db") as server:
+                async with AsyncGatewayClient(server.host, server.port) as c:
+                    # resume_from=0 replays anything published before the
+                    # subscription lands, so no push can be missed.
+                    stream = c.stream("cart", resume_from=0)
+                    pushed = []
+
+                    async def consume():
+                        async for event in stream:
+                            if event.get("type") == "position":
+                                pushed.append(event["batch_id"])
+
+                    consumer = asyncio.ensure_future(consume())
+                    responses = await c.pipeline(
+                        [
+                            (
+                                "POST",
+                                MEASUREMENTS,
+                                batch_payload(
+                                    batch_id,
+                                    anchor_sets[i % len(anchor_sets)],
+                                    "cart",
+                                ),
+                            )
+                            for i, batch_id in enumerate(burst)
+                        ]
+                    )
+                    await wait_until(
+                        lambda: len(pushed) >= len(burst), timeout_s=30.0
+                    )
+                    # A second push for any ack would arrive by now.
+                    await asyncio.sleep(0.2)
+                    consumer.cancel()
+                    await asyncio.gather(consumer, return_exceptions=True)
+                    await stream.aclose()
+                    return responses, pushed
+
+        responses, pushed = run(scenario())
+        assert [r.status for r in responses] == [200] * len(burst)
+        assert [r.json()["batch_id"] for r in responses] == burst
+        assert not any(r.json()["duplicate"] for r in responses)
+        assert sorted(pushed) == sorted(burst)
 
     def test_connection_close_ends_the_pipeline(self, lab, tmp_path):
         async def scenario():

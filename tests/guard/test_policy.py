@@ -1,4 +1,4 @@
-"""Tests for gating policy, GuardedSystem, and the selftest drill."""
+"""Tests for gating policy and GuardedSystem."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.guard import (
     LinkFaultPlan,
     LinkStatus,
     gate_records,
-    run_selftest,
 )
 from tests.guard.conftest import PACKETS
 
@@ -85,6 +84,39 @@ class TestGuardedSystem:
         assert "non-finite-csi" in estimate.degradation_reasons
         assert np.isfinite(estimate.position.x)
 
+    def test_outage_rejected_while_localization_answers(self, lab_system):
+        guarded = GuardedSystem(
+            lab_system,
+            injector=LinkFaultInjector(
+                LinkFaultPlan.outage(1.0, ap="AP3"), seed=7
+            ),
+        )
+        site = lab_system.scenario.test_sites[2]
+        estimate, gate = guarded.locate_with_result(
+            site, np.random.default_rng(7)
+        )
+        assert "AP3" in gate.rejected
+        assert np.isfinite(estimate.position.x)
+
+    def test_phase_smear_salvaged(self, lab_system):
+        # An oscillator phase smear disperses CIR energy: the link is
+        # salvaged at reduced quality, neither trusted nor dropped.
+        guarded = GuardedSystem(
+            lab_system,
+            injector=LinkFaultInjector(
+                LinkFaultPlan.phase_offset(1.0, ap="AP4"), seed=7
+            ),
+        )
+        site = lab_system.scenario.test_sites[3]
+        estimate, gate = guarded.locate_with_result(
+            site, np.random.default_rng(7)
+        )
+        (verdict,) = [v for v in gate.verdicts if v.name == "AP4"]
+        assert verdict.status is LinkStatus.DEGRADED
+        assert "dispersed-cir-energy" in verdict.reasons
+        assert verdict.quality < 1.0
+        assert np.isfinite(estimate.position.x)
+
     def test_all_links_rejected_raises(self, lab_system):
         guarded = GuardedSystem(
             lab_system,
@@ -125,17 +157,3 @@ class TestGuardedSystem:
             v.name == "AP3" and v.reasons == ("unestimable-batch",)
             for v in gate.verdicts
         )
-
-
-class TestSelftest:
-    def test_drill_passes(self):
-        result = run_selftest()
-        assert result["passed"]
-        names = [c["name"] for c in result["checks"]]
-        assert names == [
-            "zero-fault-bit-identical",
-            "nan-burst-degrades",
-            "outage-rejected",
-            "phase-smear-salvaged",
-        ]
-        assert all(c["passed"] for c in result["checks"])

@@ -131,21 +131,3 @@ class TestProcessModeService:
         for seq, proc in zip(reference, served):
             assert_same_answer(seq, proc)
         assert snapshot["completed"] == len(requests)
-
-    def test_serve_stream_preserves_order(self, lab, requests, reference):
-        config = ServingConfig(max_workers=2)
-        with LocalizationService(lab.plan.boundary, config=config) as svc:
-            streamed = list(svc.serve(requests))
-        for seq, proc in zip(reference, streamed):
-            assert_same_answer(seq, proc)
-
-    def test_submit_resolves_to_one_response(self, lab, requests, reference):
-        config = ServingConfig(max_workers=1)
-        with LocalizationService(lab.plan.boundary, config=config) as svc:
-            futures = [svc.submit(req) for req in requests]
-            served = [f.result(timeout=30) for f in futures]
-            snapshot = svc.metrics_snapshot()
-        for seq, proc in zip(reference, served):
-            assert_same_answer(seq, proc)
-        assert snapshot["completed"] == len(requests)
-        assert snapshot["queue_depth"] == 0

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.serving import AdmissionQueue, QueueFullError
+from repro.serving import AdmissionQueue
 
 
 class TestAdmissionQueue:
@@ -12,66 +12,33 @@ class TestAdmissionQueue:
         with pytest.raises(ValueError):
             AdmissionQueue(0)
 
-    def test_try_acquire_fills_then_rejects(self):
-        q = AdmissionQueue(2)
-        q.try_acquire()
-        q.try_acquire()
-        assert q.depth == 2
-        with pytest.raises(QueueFullError):
-            q.try_acquire()
-
     def test_release_frees_a_slot(self):
         q = AdmissionQueue(1)
-        q.try_acquire()
+        q.acquire()
         q.release()
-        q.try_acquire()  # does not raise
+        q.acquire()  # does not block
         assert q.depth == 1
 
     def test_release_without_acquire_raises(self):
         with pytest.raises(RuntimeError):
             AdmissionQueue(1).release()
 
-    def test_blocking_acquire_times_out(self):
-        q = AdmissionQueue(1)
-        q.try_acquire()
-        with pytest.raises(QueueFullError):
-            q.acquire(timeout=0.01)
-
     def test_blocking_acquire_wakes_on_release(self):
         q = AdmissionQueue(1)
-        q.try_acquire()
+        q.acquire()
         acquired = threading.Event()
 
         def waiter():
-            q.acquire(timeout=5)
+            q.acquire()
             acquired.set()
 
-        t = threading.Thread(target=waiter)
+        t = threading.Thread(target=waiter, daemon=True)
         t.start()
+        assert not acquired.wait(timeout=0.05)  # full: the waiter blocks
         q.release()
         t.join(timeout=5)
         assert acquired.is_set()
         assert q.depth == 1
-
-
-class TestShedAccounting:
-    def test_rejected_total_counts_try_acquire_bounces(self):
-        q = AdmissionQueue(1)
-        q.try_acquire()
-        for _ in range(3):
-            with pytest.raises(QueueFullError):
-                q.try_acquire()
-        assert q.rejected_total == 3
-        # Shedding is cumulative; freeing a slot does not forgive it.
-        q.release()
-        assert q.rejected_total == 3
-
-    def test_rejected_total_counts_acquire_timeouts(self):
-        q = AdmissionQueue(1)
-        q.try_acquire()
-        with pytest.raises(QueueFullError):
-            q.acquire(timeout=0.01)
-        assert q.rejected_total == 1
 
 
 class TestWaitIdle:
@@ -80,13 +47,13 @@ class TestWaitIdle:
 
     def test_times_out_while_slots_held(self):
         q = AdmissionQueue(1)
-        q.try_acquire()
+        q.acquire()
         assert not q.wait_idle(timeout=0.01)
 
     def test_wakes_when_last_slot_returns(self):
         q = AdmissionQueue(2)
-        q.try_acquire()
-        q.try_acquire()
+        q.acquire()
+        q.acquire()
         idle = threading.Event()
 
         def waiter():

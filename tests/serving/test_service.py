@@ -2,12 +2,13 @@
 
 Covers the serving subsystem's contract: cached-vs-uncached and
 concurrent-vs-sequential answers are bit-identical to the direct
-localizer, backpressure rejects at capacity, and LP failures/timeouts
-degrade gracefully to the flagged weighted-centroid fallback.
+localizer, a batch past capacity waits for slots, and LP
+failures/timeouts degrade gracefully to the flagged weighted-centroid
+fallback.
 
 Inline services (``max_workers=0``) serve on the submitting thread, so
-the backpressure and drain drills hold a slot from a submitter thread
-blocked inside the stacked solve.
+the drain drill holds a slot from a submitter thread blocked inside the
+stacked solve.
 """
 
 import threading
@@ -24,7 +25,6 @@ from repro.geometry import Polygon
 from repro.serving import (
     LocalizationRequest,
     LocalizationService,
-    QueueFullError,
     ServiceClosedError,
     ServingConfig,
 )
@@ -182,26 +182,6 @@ class TestNoRowObjectsOnTheServedPath:
 
 
 class TestBackpressure:
-    def test_submit_rejects_when_queue_full(
-        self, lab, anchor_sets, monkeypatch
-    ):
-        _, anchors = anchor_sets[0]
-        config = ServingConfig(queue_capacity=1)
-        gate, solving = block_stacked_solves(monkeypatch)
-        with LocalizationService(
-            lab.plan.boundary, config=config
-        ) as service, ThreadPoolExecutor(1) as submitter:
-            # The submitter thread occupies the only slot.
-            first = submitter.submit(service.submit, anchors)
-            assert solving.wait(timeout=10)
-            with pytest.raises(QueueFullError):
-                service.submit(anchors)
-            gate.set()
-            assert first.result(timeout=10).result().position is not None
-            snap = service.metrics_snapshot()
-        assert snap["rejected"] == 1
-        assert snap["admitted"] == 1
-
     def test_batch_blocks_instead_of_rejecting(self, lab, anchor_sets):
         anchors = [a for _, a in anchor_sets]
         config = ServingConfig(max_workers=2, queue_capacity=2)
@@ -230,44 +210,6 @@ class TestConfigValidation:
             ServingConfig(**kwargs)
 
 
-class TestQueueFullUnderConcurrency:
-    def test_racing_submitters_shed_against_capacity_one(
-        self, lab, anchor_sets, monkeypatch
-    ):
-        """Satellite drill: real threads racing a saturated capacity-1
-        service all bounce with QueueFullError, and the shed total is
-        visible in the metrics snapshot."""
-        _, anchors = anchor_sets[0]
-        config = ServingConfig(queue_capacity=1)
-        gate, solving = block_stacked_solves(monkeypatch)
-        with LocalizationService(
-            lab.plan.boundary, config=config
-        ) as service, ThreadPoolExecutor(1) as submitter:
-            # The submitter thread saturates the only slot.
-            first = submitter.submit(service.submit, anchors)
-            assert solving.wait(timeout=10)
-            outcomes = []
-
-            def racer():
-                try:
-                    outcomes.append(service.submit(anchors))
-                except QueueFullError:
-                    outcomes.append(QueueFullError)
-
-            threads = [threading.Thread(target=racer) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            gate.set()
-            assert first.result(timeout=10).result().position is not None
-            snap = service.metrics_snapshot()
-        assert outcomes == [QueueFullError] * 4
-        assert snap["rejected"] == 4
-        assert snap["queue_rejected_total"] == 4
-        assert snap["admitted"] == 1
-
-
 class TestLifecycle:
     def test_drain_stops_admissions_and_flushes_metrics(
         self, lab, anchor_sets
@@ -280,11 +222,7 @@ class TestLifecycle:
         assert service.closed
         assert snapshot["completed"] == 1
         with pytest.raises(ServiceClosedError):
-            service.submit(anchors)
-        with pytest.raises(ServiceClosedError):
             service.batch([anchors])
-        with pytest.raises(ServiceClosedError):
-            list(service.serve([anchors]))
         service.close()  # idempotent
 
     def test_drain_waits_for_in_flight_queries(
@@ -294,7 +232,7 @@ class TestLifecycle:
         gate, solving = block_stacked_solves(monkeypatch)
         service = LocalizationService(lab.plan.boundary)
         with ThreadPoolExecutor(1) as submitter:
-            future = submitter.submit(service.submit, anchors)
+            future = submitter.submit(service.batch, [anchors])
             assert solving.wait(timeout=10)
             # The in-flight query is stuck; a bounded drain times out
             # but leaves the service able to finish it.
@@ -302,7 +240,7 @@ class TestLifecycle:
                 service.drain(timeout_s=0.05)
             assert service.closed
             gate.set()
-            assert future.result(timeout=10).result().position is not None
+            assert future.result(timeout=10)[0].position is not None
         snapshot = service.drain()
         assert snapshot["completed"] == 1
         assert snapshot["queue_depth"] == 0
@@ -371,17 +309,6 @@ class TestGracefulDegradation:
 
 
 class TestStreaming:
-    def test_serve_preserves_order(self, lab, anchor_sets):
-        anchors = [a for _, a in anchor_sets]
-        config = ServingConfig(max_workers=3)
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            streamed = list(service.serve(iter(anchors)))
-        with LocalizationService(lab.plan.boundary) as reference:
-            expected = reference.batch(anchors)
-        assert [r.position for r in streamed] == [
-            r.position for r in expected
-        ]
-
     def test_requests_accept_query_ids(self, lab, anchor_sets):
         _, anchors = anchor_sets[0]
         request = LocalizationRequest(anchors, query_id="q-7")

@@ -104,6 +104,12 @@ class TestRemovedNames:
             ("repro.geometry", "intersect_halfspaces_batch"),
             ("repro.geometry.halfspace", "intersect_halfspaces_batch"),
             ("repro.geometry.halfspace", "_intersect_rows"),
+            ("repro.guard", "run_selftest"),
+            ("repro.guard.policy", "run_selftest"),
+            ("repro.obs", "profile_scenario"),
+            ("repro.obs", "ProfileResult"),
+            ("repro.serving", "QueueFullError"),
+            ("repro.serving.queueing", "QueueFullError"),
         ],
     )
     def test_not_exported(self, module_name, name):
@@ -122,6 +128,9 @@ class TestRemovedNames:
             ("repro.cluster.LocalizationCluster", "replica_states"),
             ("repro.cluster.LocalizationCluster", "note_topology_change"),
             ("repro.cluster.ShardRouter", "replica_order"),
+            ("repro.serving.LocalizationService", "serve"),
+            ("repro.serving.LocalizationService", "submit"),
+            ("repro.serving.AdmissionQueue", "try_acquire"),
         ],
     )
     def test_method_removed(self, class_path, attr):
@@ -135,6 +144,7 @@ class TestRemovedNames:
             "repro.optimize.chebyshev",
             "repro.optimize.simplex",
             "repro.optimize.linprog",
+            "repro.obs.profile",
         ],
     )
     def test_module_removed(self, module_name):
