@@ -153,18 +153,6 @@ class TestServeCommand:
         assert "topology cache" in out
         assert "degraded 0" in out
 
-    def test_pooled_and_uncached(self, capsys):
-        rc = main(
-            [
-                "serve", "lobby", "-n", "3", "--packets", "3",
-                "--workers", "2", "--no-cache",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
-        assert "topology cache" not in out  # caches disabled
-
     def test_simulated_serving_run(self, capsys):
         rc = main(
             ["serve", "lab", "-n", "5", "--packets", "3", "--workers", "2",
@@ -185,6 +173,69 @@ class TestServeCommand:
     def test_unknown_scenario(self, capsys):
         assert main(["serve", "mall"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBatchLocateCommand:
+    """The batch path of ``repro serve`` (the former ``batch-locate``)."""
+
+    def test_pooled_and_uncached(self, capsys):
+        rc = main(
+            [
+                "serve", "lobby", "-n", "3", "--packets", "3",
+                "--workers", "2", "--no-cache",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "throughput" in out
+        assert "topology cache" not in out  # caches disabled
+
+    def test_unknown_scenario(self, capsys):
+        rc = main(
+            ["serve", "mall", "-n", "4", "--packets", "3", "--workers", "2"]
+        )
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+
+class TestProfileCommand:
+    """Profiling through ``repro serve --trace`` (the former ``profile``)."""
+
+    def test_stage_breakdown_covers_pipeline(self, capsys):
+        rc = main(["serve", "lab", "-n", "2", "--packets", "3", "--trace"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "served 2 queries" in out
+        for stage in ("csi", "cir", "constraints", "lp.solve_batch", "merge"):
+            assert stage in out, f"stage {stage} missing from breakdown"
+        assert "simplex.pivots" in out  # pivot counter surfaced
+
+    def test_trace_out_writes_jsonl(self, tmp_path, capsys):
+        from repro.obs import load_jsonl
+
+        path = tmp_path / "traces.jsonl"
+        rc = main(
+            ["serve", "lab", "-n", "1", "--packets", "3",
+             "--trace-out", str(path)]
+        )
+        assert rc == 0
+        assert "wrote" in capsys.readouterr().out
+        spans = load_jsonl(path)
+        assert spans and {s.name for s in spans} >= {"lp.solve_batch", "merge"}
+
+    def test_bad_count(self, capsys):
+        assert main(["serve", "lab", "-n", "0", "--trace"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_unknown_scenario(self, capsys):
+        assert main(["serve", "mall", "--trace"]) == 2
+
+    def test_leaves_tracing_disabled(self):
+        from repro import obs
+
+        obs.disable()
+        assert main(["serve", "lab", "-n", "1", "--packets", "3", "--trace"]) == 0
+        assert not obs.is_enabled()
 
 
 class TestRemovedSurface:
@@ -358,6 +409,14 @@ class TestServingTraceFlag:
         out = capsys.readouterr().out
         assert "stage breakdown" in out
         assert "serve.query" in out
+
+    def test_batch_locate_trace_reports_stage_breakdown(self, capsys):
+        rc = main(
+            ["serve", "lab", "-n", "2", "--packets", "3", "--workers", "2",
+             "--trace"]
+        )
+        assert rc == 0
+        assert "stage breakdown" in capsys.readouterr().out
 
 
 class TestGatewayCommand:
