@@ -11,10 +11,10 @@ The most common entry points are re-exported here::
 
 Subpackages: :mod:`repro.geometry`, :mod:`repro.optimize`,
 :mod:`repro.channel`, :mod:`repro.environment`, :mod:`repro.mobility`,
-:mod:`repro.core`, :mod:`repro.baselines`, :mod:`repro.net`,
-:mod:`repro.eval`, :mod:`repro.serving`, :mod:`repro.cluster`,
-:mod:`repro.gateway`, :mod:`repro.guard`, :mod:`repro.tracking`,
-:mod:`repro.sessions`, :mod:`repro.extensions`.
+:mod:`repro.core`, :mod:`repro.baselines`, :mod:`repro.eval`,
+:mod:`repro.serving`, :mod:`repro.cluster`, :mod:`repro.gateway`,
+:mod:`repro.guard`, :mod:`repro.tracking`, :mod:`repro.sessions`,
+:mod:`repro.extensions`.
 """
 
 from .core import (

@@ -64,10 +64,6 @@ class DelayProfile:
         comparison against the max-power estimator)."""
         return float(self.powers[0])
 
-    def peak_delay_s(self) -> float:
-        """Delay of the strongest tap."""
-        return float(self.delays_s[int(np.argmax(self.powers))])
-
     def truncated(self, max_delay_s: float) -> "DelayProfile":
         """Profile restricted to taps at or before ``max_delay_s``."""
         mask = self.delays_s <= max_delay_s + 1e-15

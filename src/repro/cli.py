@@ -949,6 +949,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # non-Unix fallback; Unix path drains in-loop
         pass
+    except OSError as exc:  # the bind failed; start() closed the ledger
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,14 +22,12 @@ __all__ = ["ClusterMetrics", "merge_service_snapshots"]
 #: ServiceMetrics counters that sum meaningfully across a fleet.
 _SUMMED_KEYS = (
     "admitted",
-    "rejected",
     "completed",
     "degraded",
     "timeouts",
     "lp_failures",
     "cache_hits",
     "cache_misses",
-    "queue_rejected_total",
     "degraded_links_total",
     "rejected_links_total",
 )

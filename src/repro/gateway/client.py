@@ -262,32 +262,6 @@ class GatewayClient:
     def get_estimate(self, batch_id: str) -> dict:
         return self._run(self._client.get_estimate(batch_id))
 
-    def stream_events(
-        self,
-        object_id: str,
-        count: int,
-        timeout_s: float = 10.0,
-        resume_from: int | None = None,
-        kinds: tuple = ("position",),
-    ):
-        """Collect ``count`` events of the given kinds (blocking)."""
-
-        async def collect():
-            events = []
-            stream = self._client.stream(object_id, resume_from=resume_from)
-            try:
-                while len(events) < count:
-                    event = await asyncio.wait_for(
-                        stream.__anext__(), timeout=timeout_s
-                    )
-                    if event.get("type") in kinds:
-                        events.append(event)
-            finally:
-                await stream.aclose()
-            return events
-
-        return self._run(collect())
-
     def close(self) -> None:
         if not self._loop.is_closed():
             self._run(self._client.close())

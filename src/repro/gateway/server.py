@@ -240,11 +240,20 @@ class GatewayServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Recover the ledger backlog, then start accepting connections."""
+        """Recover the ledger backlog, then start accepting connections.
+
+        If the bind fails (the port is taken, say), the solver threads
+        and the ledger are released before the ``OSError`` propagates,
+        so no ``-wal``/``-shm`` files outlive the failed start.
+        """
         await self._replay_backlog()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host, self.config.port
+            )
+        except OSError:
+            await self._release()
+            raise
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
 
@@ -318,11 +327,15 @@ class GatewayServer:
             if any(not t.done() for t in self._solve_tasks):  # pragma: no cover
                 break
             self._solve_tasks = {t for t in self._solve_tasks if not t.done()}
+        await self._release()
+        self._flush_spans()
+
+    async def _release(self) -> None:
+        """Drain the solver, join the bridge threads, close the ledger."""
         await self.bridge.run(self.cluster.drain)
         self._stopped = True
         self.bridge.shutdown()
         self.ledger.close()
-        self._flush_spans()
 
     def _flush_spans(self) -> None:
         tracer = get_tracer()

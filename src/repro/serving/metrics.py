@@ -115,7 +115,7 @@ class ServiceMetrics:
     Event vocabulary (all called by :class:`~repro.serving.service.\
 LocalizationService`):
 
-    * :meth:`record_admitted` / :meth:`record_rejected` — admission;
+    * :meth:`record_admitted` — admission;
     * :meth:`record_queue_wait` — admission-to-worker-pickup delay;
     * :meth:`record_completed` — query finished (possibly degraded);
     * :meth:`record_cache` — topology-cache hit/miss per query.
@@ -127,7 +127,6 @@ LocalizationService`):
         self._queue_waits = LatencyReservoir(latency_window)
         self._started = time.perf_counter()
         self.admitted = 0
-        self.rejected = 0
         self.completed = 0
         self.degraded = 0
         self.timeouts = 0
@@ -141,11 +140,6 @@ LocalizationService`):
         """One request passed admission control."""
         with self._lock:
             self.admitted += 1
-
-    def record_rejected(self) -> None:
-        """One request bounced off the full queue (backpressure)."""
-        with self._lock:
-            self.rejected += 1
 
     def record_queue_wait(self, wait_s: float) -> None:
         """Time one request spent between admission and worker pickup.
@@ -196,13 +190,11 @@ LocalizationService`):
             if lp_failed:
                 self.lp_failures += 1
 
-    def snapshot(self, queue_depth: int = 0, queue_rejected: int = 0) -> dict:
+    def snapshot(self, queue_depth: int = 0) -> dict:
         """Point-in-time view of the service as a plain dict.
 
-        ``queue_depth`` and ``queue_rejected`` are passed in by the
-        service because the queue, not the metrics object, owns that
-        state; ``queue_rejected`` additionally counts blocking-admission
-        timeouts the service-level ``rejected`` counter never sees.
+        ``queue_depth`` is passed in by the service because the queue,
+        not the metrics object, owns that state.
         """
         with self._lock:
             elapsed = time.perf_counter() - self._started
@@ -210,13 +202,11 @@ LocalizationService`):
             snap = {
                 "uptime_s": elapsed,
                 "admitted": self.admitted,
-                "rejected": self.rejected,
                 "completed": self.completed,
                 "degraded": self.degraded,
                 "timeouts": self.timeouts,
                 "lp_failures": self.lp_failures,
                 "queue_depth": queue_depth,
-                "queue_rejected_total": queue_rejected,
                 "throughput_qps": self.completed / elapsed if elapsed > 0 else 0.0,
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
@@ -242,15 +232,11 @@ LocalizationService`):
             )
             return snap
 
-    def to_json(self, queue_depth: int = 0, queue_rejected: int = 0) -> dict:
+    def to_json(self, queue_depth: int = 0) -> dict:
         """:meth:`snapshot` as a JSON-serializable dict with sorted keys.
 
         The exporter-facing form (the gateway's ``/metrics`` endpoint,
         log shippers, test assertions): ``json.dumps`` never raises on
         it, and key order is stable across processes and runs.
         """
-        return json_safe(
-            self.snapshot(
-                queue_depth=queue_depth, queue_rejected=queue_rejected
-            )
-        )
+        return json_safe(self.snapshot(queue_depth=queue_depth))

@@ -30,7 +30,7 @@ class TestMergeServiceSnapshots:
                     "cache_hits": 2,
                     "cache_misses": 1,
                     "queue_depth": 0,
-                    "queue_rejected_total": 1,
+                    "degraded_links_total": 1,
                 },
                 {
                     "completed": 5,
@@ -42,7 +42,7 @@ class TestMergeServiceSnapshots:
         )
         assert merged["completed"] == 8
         assert merged["queue_depth"] == 7
-        assert merged["queue_rejected_total"] == 1
+        assert merged["degraded_links_total"] == 1
         assert merged["cache_hit_rate"] == 6 / 8
         assert merged["shard_count"] == 2
 

@@ -62,14 +62,12 @@ class TestServiceMetrics:
         m = ServiceMetrics()
         m.record_admitted()
         m.record_admitted()
-        m.record_rejected()
         m.record_cache(hit=True)
         m.record_cache(hit=False)
         m.record_completed(0.010)
         m.record_completed(0.030, degraded=True, timed_out=True)
         snap = m.snapshot(queue_depth=5)
         assert snap["admitted"] == 2
-        assert snap["rejected"] == 1
         assert snap["completed"] == 2
         assert snap["degraded"] == 1
         assert snap["timeouts"] == 1
@@ -139,12 +137,11 @@ class TestServiceMetricsToJson:
         m = ServiceMetrics()
         m.record_admitted()
         m.record_completed(0.01)
-        doc = m.to_json(queue_depth=2, queue_rejected=1)
+        doc = m.to_json(queue_depth=2)
         assert doc == json.loads(json.dumps(doc, sort_keys=True))
         assert list(doc) == sorted(doc)
         assert doc["completed"] == 1
         assert doc["queue_depth"] == 2
-        assert doc["queue_rejected_total"] == 1
 
     def test_to_json_matches_snapshot_values(self):
         m = ServiceMetrics()

@@ -189,7 +189,6 @@ class TestBackpressure:
             responses = service.batch(anchors)
             snap = service.metrics_snapshot()
         assert len(responses) == len(anchors)
-        assert snap["rejected"] == 0
         assert snap["queue_depth"] == 0  # all slots returned
 
 

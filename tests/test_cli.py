@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -450,3 +452,20 @@ class TestGatewayCommand:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["gateway", "lab", "--replicas", "2"])
         assert exc.value.code == 2
+
+    def test_port_in_use_is_one_error_line_and_no_wal_files(
+        self, tmp_path, capsys
+    ):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            rc = main(
+                ["gateway", "lab", "--host", "127.0.0.1", "--port", str(port),
+                 "--db", str(tmp_path / "gw.db")]
+            )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gw.db"]

@@ -19,7 +19,6 @@ PUBLIC_MODULES = [
     "repro.mobility",
     "repro.core",
     "repro.baselines",
-    "repro.net",
     "repro.eval",
     "repro.serving",
     "repro.cluster",
@@ -30,7 +29,6 @@ PUBLIC_MODULES = [
     "repro.planning",
     "repro.viz",
     "repro.data",
-    "repro.analysis",
     "repro.cli",
 ]
 
